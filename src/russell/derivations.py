@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import Mapping
 
 from .poly import Context, Poly, lift
@@ -103,7 +104,7 @@ class Derivation:
         ring = self.ring
         a = _as_element(a, ring)
         ctx = ring.ctx
-        out = ctx.zero()
+        out: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in a.poly.terms.items():
             for i, name in enumerate(ctx.variables):
                 e = mono[i]
@@ -113,8 +114,15 @@ class Derivation:
                 if img.is_zero:
                     continue
                 dm = mono[:i] + (e - 1,) + mono[i + 1:]
-                out = out + Poly._make(ctx, {dm: coeff * e}) * img.poly
-        return ring.nf(out)
+                c = coeff * e
+                for img_mono, img_coeff in img.poly.terms.items():
+                    m = tuple(map(add, dm, img_mono))
+                    s = out.get(m, 0) + c * img_coeff
+                    if s:
+                        out[m] = s
+                    else:
+                        out.pop(m, None)
+        return ring.nf(Poly._make(ctx, out))
 
     __call__ = apply
 

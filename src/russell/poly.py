@@ -223,14 +223,19 @@ class Poly:
                 cache[key] = got
             return got
 
-        total = target.zero()
+        out: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in self.terms.items():
-            acc = target.const(coeff)
+            acc = target.one()
             for name, e in zip(self.ctx.variables, mono):
                 if e:
                     acc = acc * image_power(name, e)
-            total = total + acc
-        return total
+            for m, c in acc.terms.items():
+                s = out.get(m, 0) + coeff * c
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+        return Poly._make(target, out)
 
     def partial(self, name: str) -> "Poly":
         """Formal partial derivative; the variable must not be Laurent."""

@@ -15,6 +15,16 @@ Laurent-flagged variables.  Uniqueness of the result, independent of the
 reduction strategy, is the Groebner property; randomized strategy-agreement
 checks exercise it throughout the test suite.
 
+The default strategy "max" rewrites the order-largest reducible monomial
+first, in the manner of heap-based division (Monagan and Pearce, CASC 2007):
+the reducible monomials still pending sit in a heap keyed by the order, and
+each rewrite adds coeff * tail(R) into one accumulator in place.  Since
+every rewrite only creates order-smaller monomials, all contributions to a
+monomial have arrived by the time it leaves the heap, so each distinct
+reducible monomial is rewritten exactly once.  Strategy "first" keeps the
+plain rewrite loop, rebuilding the polynomial after every step, as the
+independent reference route.
+
 Built-in instances:
 
     A     Q[x,y,z,t] / (x + x^2*y + z^3 + t^2)   grlex, x > y > z > t
@@ -31,8 +41,10 @@ are exactly those x^a*y^b*z^c*t^d with a <= 1 or b = 0.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .modp import ModP, ORACLE_PRIME
 from .parse import parse
@@ -43,11 +55,12 @@ class RingMismatchError(ValueError):
     pass
 
 
-def _order_key(order: str):
+def _descending_key(order: str):
+    """Sort key under which the order-largest monomial comes first."""
     if order == "grlex":
-        return lambda mono: (sum(mono), mono)
+        return lambda mono: (-sum(mono), tuple(map(neg, mono)))
     if order == "lex":
-        return lambda mono: mono
+        return lambda mono: tuple(map(neg, mono))
     raise ValueError(f"unknown monomial order {order!r}")
 
 
@@ -55,7 +68,7 @@ class QuotientRing:
     """Q[variables] modulo one relation, reduced under a fixed monomial order."""
 
     __slots__ = ("name", "ctx", "relation", "order", "lead_monomial", "lead_coeff",
-                 "_key", "_lead_positions")
+                 "_key", "_lead_positions", "_tail")
 
     def __init__(self, name: str, ctx: Context, relation: Poly, order: str):
         if relation.ctx != ctx:
@@ -69,12 +82,14 @@ class QuotientRing:
         self.ctx = ctx
         self.relation = relation
         self.order = order
-        self._key = _order_key(order)
-        self.lead_monomial = max(relation.terms, key=self._key)
+        self._key = _descending_key(order)
+        self.lead_monomial = min(relation.terms, key=self._key)
         self.lead_coeff = relation.terms[self.lead_monomial]
         self._lead_positions = tuple(
             (i, e) for i, e in enumerate(self.lead_monomial) if e > 0
         )
+        self._tail = tuple((m, -c / self.lead_coeff)
+                           for m, c in relation.terms.items() if m != self.lead_monomial)
 
     def __eq__(self, other):
         if not isinstance(other, QuotientRing):
@@ -96,21 +111,54 @@ class QuotientRing:
     def reduce(self, f: Poly, strategy: str = "max") -> Poly:
         """Iterated rewriting to the unique normal form.
 
-        strategy "max" rewrites the order-largest reducible monomial first,
-        "first" the largest in the canonical print order; both agree on the
-        result, which the confluence tests verify.
+        strategy "max" rewrites the order-largest reducible monomial first.
+        Pending reducible monomials wait in a heap and every rewrite adds
+        coeff * tail into one accumulator in place, so each distinct
+        reducible monomial is rewritten once, with all its contributions
+        merged.  strategy "first" is the reference route: it rescans the
+        whole polynomial each step and rewrites the largest reducible
+        monomial in the canonical print order.  Both give the same result,
+        which the confluence tests verify.
         """
-        if strategy not in ("max", "first"):
+        if strategy == "first":
+            return self._reduce_first(f)
+        if strategy != "max":
             raise ValueError(f"unknown reduction strategy {strategy!r}")
+        divisible, key = self._divisible, self._key
+        heap = [(key(m), m) for m in f.terms if divisible(m)]
+        if not heap:
+            return f
+        heapq.heapify(heap)
+        lead, tail = self.lead_monomial, self._tail
+        acc = dict(f.terms)
+        while heap:
+            mono = heapq.heappop(heap)[1]
+            coeff = acc.pop(mono, None)
+            if coeff is None:  # cancelled, or a duplicate entry already rewritten
+                continue
+            quotient = tuple(map(sub, mono, lead))
+            for tail_mono, tail_coeff in tail:
+                m = tuple(map(add, quotient, tail_mono))
+                old = acc.get(m)
+                if old is None:
+                    acc[m] = coeff * tail_coeff
+                    if divisible(m):
+                        heapq.heappush(heap, (key(m), m))
+                else:
+                    s = old + coeff * tail_coeff
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+        return Poly._make(self.ctx, acc)
+
+    def _reduce_first(self, f: Poly) -> Poly:
         lead = self.lead_monomial
         while True:
             reducible = [m for m in f.terms if self._divisible(m)]
             if not reducible:
                 return f
-            if strategy == "max":
-                mono = max(reducible, key=self._key)
-            else:
-                mono = max(reducible)
+            mono = max(reducible)
             quotient = tuple(a - b for a, b in zip(mono, lead))
             factor = Poly._make(self.ctx, {quotient: f.terms[mono] / self.lead_coeff})
             f = f - factor * self.relation

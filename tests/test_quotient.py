@@ -5,8 +5,8 @@ import pytest
 
 from russell.poly import Context
 from russell.quotient import (CTX_XYZT, RING_A, RING_B, RING_NEIL, RING_V,
-                              QuotientRing, RingMismatchError, oracle_equal,
-                              random_point, ring_by_name, surface_point)
+                              QuotientRing, RingElement, RingMismatchError,
+                              oracle_equal, random_point, ring_by_name, surface_point)
 from russell.sampling import random_poly
 
 
@@ -58,10 +58,55 @@ def test_nf_is_ring_homomorphism():
 
 def test_reduction_strategies_agree():
     rng = random.Random(17)
-    for ring in (RING_A, RING_B):
+    rings = (RING_A, RING_B, RING_V, RING_NEIL,
+             RING_A.extend(("tau", "lam"), laurent=frozenset({"lam"})),
+             RING_B.extend(("lam", "mu"), laurent=frozenset({"lam", "mu"})))
+    for ring in rings:
         for _ in range(40):
             f = random_poly(ring.ctx, rng)
             assert ring.reduce(f, "max") == ring.reduce(f, "first")
+            g = f * random_poly(ring.ctx, rng)
+            assert ring.reduce(g, "max") == ring.reduce(g, "first")
+
+
+def test_heap_reducer_tail_cancels_pending_monomial():
+    x, y, z, t = (CTX_XYZT.var(n) for n in "xyzt")
+    # rewriting x^4*y^2 yields -x^3*y, which cancels the pending x^3*y;
+    # f = x^2*y * (x^2*y + x) = (x + z^3 + t^2) * (z^3 + t^2) in A
+    f = x**4 * y**2 + x**3 * y
+    assert RING_A.reduce(f) == (x + z**3 + t**2) * (z**3 + t**2)
+    assert RING_A.reduce(f) == RING_A.reduce(f, "first")
+    # x^3*y*z^3 is cancelled by the rewrite of x^4*y^2*z^3, then recreated
+    # by the rewrite of x^5*y^2
+    g = x**4 * y**2 * z**3 + x**5 * y**2 + x**3 * y * z**3
+    assert RING_A.reduce(g) == RING_A.reduce(g, "first")
+
+
+def test_heap_reducer_deep_input():
+    x, y = CTX_XYZT.var("x"), CTX_XYZT.var("y")
+    f = x**60 * y**60
+    a = RING_A.nf(f)  # iterative: no RecursionError however deep the rewrite chain
+    assert all(ex <= 1 or ey == 0 for (ex, ey, _, _) in a.poly.terms)
+    assert oracle_equal(a, RingElement(RING_A, f), samples=3)
+
+
+def test_normal_forms_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z t")
+
+    def to_sympy(f):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(g**e for g, e in zip(gens, mono))))
+                   for mono, c in f.terms.items())
+
+    rng = random.Random(37)
+    for ring in (RING_A, RING_B):
+        relation = to_sympy(ring.relation)
+        for _ in range(50):
+            f = (random_poly(CTX_XYZT, rng, max_terms=4, max_degree=4)
+                 * random_poly(CTX_XYZT, rng, max_terms=4, max_degree=4))
+            _, remainder = sympy.reduced(to_sympy(f), [relation], *gens, order="grlex")
+            assert sympy.expand(remainder - to_sympy(ring.reduce(f))) == 0
 
 
 def test_normal_monomial_shape():
