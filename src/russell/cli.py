@@ -157,7 +157,7 @@ def cmd_random_point(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     from .verifier import all_passed, format_report, report_to_json, run_all
-    results = run_all(seed=args.seed, samples=args.samples)
+    results = run_all(seed=args.seed)
     if args.json:
         print(json.dumps(report_to_json(results), indent=2))
     else:
@@ -219,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     subs["random-point"].add_argument("--surface", choices=("X", "W"), default="X")
     subs["random-point"].add_argument("--seed", type=int, default=0)
     subs["verify-paper"].add_argument("--seed", type=int, default=0)
-    subs["verify-paper"].add_argument("--samples", type=int, default=None,
-                                      help="reserved; sample counts are fixed per check")
     return parser
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from operator import add
 from typing import Mapping
 
 from .poly import Context, Poly, lift
@@ -104,25 +103,18 @@ class Derivation:
         ring = self.ring
         a = _as_element(a, ring)
         ctx = ring.ctx
-        out: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in a.poly.terms.items():
-            for i, name in enumerate(ctx.variables):
-                e = mono[i]
-                if not e:
-                    continue
-                img = self.images[name]
-                if img.is_zero:
-                    continue
-                dm = mono[:i] + (e - 1,) + mono[i + 1:]
-                c = coeff * e
-                for img_mono, img_coeff in img.poly.terms.items():
-                    m = tuple(map(add, dm, img_mono))
-                    s = out.get(m, 0) + c * img_coeff
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-        return ring.nf(Poly._make(ctx, out))
+        terms = a.poly.terms
+        total = ctx.zero()
+        for i, name in enumerate(ctx.variables):
+            img = self.images[name]
+            if img.is_zero:
+                continue
+            # d(m) for the i-th factor: e * m / v_i, also for negative Laurent e
+            shifted = {mono[:i] + (mono[i] - 1,) + mono[i + 1:]: coeff * mono[i]
+                       for mono, coeff in terms.items() if mono[i]}
+            if shifted:
+                total = total + Poly._make(ctx, shifted) * img.poly
+        return ring.nf(total)
 
     __call__ = apply
 

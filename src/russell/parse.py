@@ -135,6 +135,7 @@ class _Parser:
                 raise ParseError("negative exponent is only allowed on a Laurent variable", at)
             if not self.ctx.is_laurent(varname):
                 raise ParseError(f"negative exponent on non-Laurent variable {varname!r}", at)
+        if varname is not None:
             return self.ctx.var(varname, exponent)
         return base ** exponent
 

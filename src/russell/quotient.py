@@ -48,7 +48,7 @@ from operator import add, neg, sub
 
 from .modp import ModP, ORACLE_PRIME
 from .parse import parse
-from .poly import Context, Poly, lift
+from .poly import Context, Poly, binary_power, lift
 
 
 class RingMismatchError(ValueError):
@@ -261,15 +261,7 @@ class RingElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, n, self.ring.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

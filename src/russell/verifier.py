@@ -564,12 +564,11 @@ def _random_homogeneous_components(seed: int) -> CheckResult:
 
 # -- assembly -------------------------------------------------------------------
 
-def run_all(seed: int = 0, samples: int | None = None) -> list[CheckResult]:
+def run_all(seed: int = 0) -> list[CheckResult]:
     """Every named check plus the randomized suites, sorted by check id.
 
     The seed steers only the random samples; the set of checks and their
-    verdicts on correct code are seed-independent.  ``samples`` is accepted
-    for interface stability and currently only caps nothing.
+    verdicts on correct code are seed-independent.
     """
     ex = example_derivations()
     delta = {name: induced_graded(d) for name, d in ex.items()}

@@ -192,6 +192,12 @@ def test_verify_paper_text(capsys):
     assert "28/28 checks passed" in out
 
 
+def test_verify_paper_has_no_samples_flag(capsys):
+    code, _, err = run(capsys, "verify-paper", "--samples", "3")
+    assert code == 2
+    assert "--samples" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "russell", "nf", "--ring", "A", "--expr", "x^2*y"],

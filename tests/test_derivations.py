@@ -11,6 +11,7 @@ from russell.derivations import (ANY_DEGREE, CompatibilityError, EndomorphismErr
                                  is_homogeneous_derivation, kernel_chain,
                                  lnd_bounded, make_derivation, make_endomorphism,
                                  scaling, specialize)
+from russell.poly import Poly
 from russell.quotient import RING_A, RING_B, RING_V, RingMismatchError
 from russell.sampling import random_element
 from russell.weights import deg, is_homogeneous
@@ -52,6 +53,33 @@ class TestApply:
     def test_linear_over_constants(self):
         a = RING_A.nf("y*t + 3*z")
         assert D1.apply(5 * a) == 5 * D1.apply(a)
+
+    def test_matches_per_pair_reference_with_laurent_image(self):
+        ring = RING_A.extend(("tau", "lam"), laurent=frozenset({"lam"}))
+        d = make_derivation(ring, {"y": "-2*t", "t": "x^2",
+                                   "lam": "3/2*lam^-2*x + tau", "tau": "lam*z - 1/5"})
+        ctx = ring.ctx
+
+        def reference(a):
+            out = {}
+            for mono, coeff in a.poly.terms.items():
+                for i, name in enumerate(ctx.variables):
+                    if not mono[i]:
+                        continue
+                    for img_mono, img_coeff in d.images[name].poly.terms.items():
+                        m = tuple(e - (j == i) + f
+                                  for j, (e, f) in enumerate(zip(mono, img_mono)))
+                        out[m] = out.get(m, Fraction(0)) + coeff * mono[i] * img_coeff
+            return ring.nf(Poly(ctx, out))
+
+        rng = random.Random(83)
+        laurent_seen = False
+        for _ in range(25):
+            a = random_element(ring, rng, max_terms=5, max_degree=4)
+            laurent_seen |= any(m[-1] < 0 for m in a.poly.terms)
+            assert d.apply(a) == reference(a)
+        assert laurent_seen
+        assert d.apply(ring.nf("lam^-3")) == ring.nf("-9/2*lam^-6*x - 3*lam^-4*tau")
 
     def test_leibniz_on_random_pairs(self):
         rng = random.Random(67)

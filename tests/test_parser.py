@@ -43,6 +43,20 @@ def test_laurent_exponents():
     assert p("3/2*lam^-1*x", LCTX) == Fraction(3, 2) * LCTX.var("lam", -1) * LCTX.var("x")
 
 
+def test_variable_power_is_a_monomial():
+    x = CTX_XYZT.var("x")
+    assert p("x^0") == 1
+    assert p("x^0").terms == {(0, 0, 0, 0): Fraction(1)}
+    assert p("x^7") == x**7
+    assert p("x^7").terms == {(7, 0, 0, 0): Fraction(1)}
+    assert p("2*x^5*y^4*z*t^3") == 2 * x**5 * CTX_XYZT.var("y") ** 4 * CTX_XYZT.var("z") \
+        * CTX_XYZT.var("t") ** 3
+    assert p("(x+1)^2") == x**2 + 2 * x + 1
+    tctx = Context(("x", "tau"), laurent=frozenset({"tau"}))
+    assert p("tau^-3", tctx) == tctx.var("tau", -3)
+    assert p("tau^-3", tctx).terms == {(0, -3): Fraction(1)}
+
+
 def test_negative_exponent_rejected_without_laurent():
     with pytest.raises(ParseError) as info:
         p("y^-1")

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from russell.modp import ModP, ORACLE_PRIME
 from russell.poly import Context, Poly, invert_unit, lift
-from russell.quotient import CTX_XYZT
+from russell.quotient import CTX_XYZT, RING_A
+from russell.sampling import random_poly
 
 XY = Context(("x", "y"))
 LX = Context(("x", "y"), laurent=frozenset({"x"}))
@@ -166,3 +168,75 @@ class TestModP:
     def test_bool(self):
         assert not ModP(0)
         assert ModP(2)
+
+
+# -- the fraction-free multiply kernel -------------------------------------------
+
+A_TAU_LAM = RING_A.extend(("tau", "lam"), laurent=frozenset({"lam"})).ctx
+
+
+def schoolbook_product(f: Poly, g: Poly) -> Poly:
+    """Reference product: one Fraction multiply-add per term pair."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return Poly(f.ctx, out)
+
+
+def assert_clean(f: Poly) -> None:
+    for coeff in f.terms.values():
+        assert type(coeff) is Fraction and coeff != 0
+
+
+@pytest.mark.parametrize("ctx", [CTX_XYZT, A_TAU_LAM], ids=["xyzt", "A[tau,lam]"])
+def test_product_matches_schoolbook_reference(ctx):
+    rng = random.Random(31)
+    laurent_seen = False
+    for _ in range(60):
+        f = random_poly(ctx, rng, max_terms=8, coeff_bound=30)
+        g = random_poly(ctx, rng, max_terms=8, coeff_bound=30)
+        laurent_seen |= any(e < 0 for m in f.terms for e in m)
+        prod = f * g
+        assert prod == schoolbook_product(f, g)
+        assert_clean(prod)
+    assert laurent_seen == bool(ctx.laurent)
+
+
+def test_product_with_zero():
+    x = CTX_XYZT.var("x")
+    f = x + Fraction(1, 3)
+    for prod in (f * CTX_XYZT.zero(), CTX_XYZT.zero() * f, f * 0, 0 * f):
+        assert prod.is_zero and prod.terms == {}
+    assert (CTX_XYZT.zero() * CTX_XYZT.zero()).is_zero
+
+
+def test_product_full_cancellation_stores_no_zero():
+    x = CTX_XYZT.var("x")
+    for c in (1, Fraction(1, 3)):
+        prod = (x + c) * (x - c)
+        assert prod == x**2 - c * c
+        assert len(prod.terms) == 2
+        assert_clean(prod)
+
+
+def test_product_mixed_and_large_denominators():
+    x, y = CTX_XYZT.var("x"), CTX_XYZT.var("y")
+    f = 3 * x + Fraction(1, 97) * y + Fraction(5, 1024)
+    g = Fraction(-7, 1024) * x * y + 2 * y + Fraction(96, 97)
+    prod = f * g
+    assert prod == schoolbook_product(f, g)
+    assert prod.terms[(1, 1, 0, 0)] == 6 - Fraction(35, 1024 * 1024)
+    assert prod.terms[(0, 0, 0, 0)] == Fraction(5 * 96, 1024 * 97)
+    assert_clean(prod)
+
+
+def test_product_coerces_int_and_fraction_on_both_sides():
+    x, y = CTX_XYZT.var("x"), CTX_XYZT.var("y")
+    f = Fraction(3, 2) * x - y + 1
+    assert 2 * f == f * 2 == 3 * x - 2 * y + 2
+    third = Fraction(1, 3)
+    assert f * third == third * f == Fraction(1, 2) * x - third * y + third
+    for prod in (2 * f, f * third, third * f, f * 0):
+        assert_clean(prod)
