@@ -17,11 +17,10 @@ from .derivations import (ANY_DEGREE, LAURENT_PARAMS, LOCI, PARAM_ORDER,
                           induced_graded, invariance_check, is_homogeneous_derivation,
                           kernel_chain, lnd_bounded, make_derivation,
                           make_endomorphism, scaling, specialize)
-from .modp import ModP, ORACLE_PRIME
 from .parse import ParseError, parse
 from .poly import Context, Poly, invert_unit, lift
-from .quotient import (CTX_XYZT, CTX_XZT, CTX_ZT, QuotientRing, RING_A, RING_B,
-                       RING_NEIL, RING_V, RingElement, RingMismatchError,
+from .quotient import (CTX_XYZT, CTX_XZT, CTX_ZT, ORACLE_PRIME, QuotientRing, RING_A,
+                       RING_B, RING_NEIL, RING_V, RingElement, RingMismatchError,
                        oracle_equal, random_point, ring_by_name, surface_point)
 from .sampling import random_element, random_nonzero_element, random_poly, random_rational
 from .verifier import CheckResult, all_passed, format_report, report_to_json, run_all
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ANY_DEGREE", "CTX_XYZT", "CTX_XZT", "CTX_ZT", "CheckResult",
     "CompatibilityError", "Context", "Derivation", "EndomorphismError",
-    "F_MINUS_RING", "F_PLUS_RING", "LAURENT_PARAMS", "LOCI", "ModP",
+    "F_MINUS_RING", "F_PLUS_RING", "LAURENT_PARAMS", "LOCI",
     "NilpotencyReport", "ORACLE_PRIME", "PARAM_ORDER", "ParseError", "Poly",
     "QuotientRing", "RING_A", "RING_B", "RING_NEIL", "RING_V", "RingElement",
     "RingEndomorphism", "RingMismatchError", "WEIGHTS", "all_passed", "compose",

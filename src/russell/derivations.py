@@ -159,23 +159,32 @@ class NilpotencyReport:
         return {"orders": dict(self.orders), "bound": self.bound, "verdict": self.verdict}
 
 
+def _orbit(d: Derivation, f: RingElement, bound: int) -> list[RingElement] | None:
+    """The nonzero iterates f, d(f), d^2(f), ... up to the first zero, or None
+    once more than bound of them are nonzero.  The one loop that iterates d."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    orbit = []
+    while not f.is_zero:
+        if len(orbit) == bound:
+            return None
+        orbit.append(f)
+        f = d.apply(f)
+    return orbit
+
+
 def lnd_bounded(d: Derivation, bound: int = 32) -> NilpotencyReport:
     """Bounded certification of local nilpotency.
 
-    The order of a generator g is the smallest k with d^k(g) = 0.  A verdict
-    of Unknown only means the bound was exhausted; non-nilpotency is never
-    claimed.
+    The order of a generator g is the smallest k with d^k(g) = 0; orders up
+    to the bound are certified.  A verdict of Unknown only means the bound
+    was exhausted; non-nilpotency is never claimed.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    ring = d.ring
     orders: dict[str, int | None] = {}
-    for name in d.ring.ctx.variables:
-        cur = d.apply(d.ring.ctx.var(name))
-        k = 1
-        while not cur.is_zero and k < bound:
-            cur = d.apply(cur)
-            k += 1
-        orders[name] = k if cur.is_zero else None
+    for name in ring.ctx.variables:
+        orbit = _orbit(d, ring.nf(ring.ctx.var(name)), bound)
+        orders[name] = None if orbit is None else len(orbit)
     verdict = "LocallyNilpotent" if all(v is not None for v in orders.values()) else "Unknown"
     return NilpotencyReport(orders, bound, verdict)
 
@@ -367,25 +376,20 @@ def specialize(e: RingEndomorphism, bindings: Mapping[str, object]) -> RingEndom
 def flow(d: Derivation, param: str = "tau", bound: int = 32) -> RingEndomorphism:
     """The exponential map exp(param * d), a validated endomorphism.
 
-    Requires certified local nilpotency; the sum over d^k(g)/k! is finite.
-    Exact rational coefficients only, so this needs characteristic zero.
+    Requires every generator to die within the bound, so the sum over
+    d^k(g)/k! is finite.  Exact rational coefficients only, so this needs
+    characteristic zero.
     """
-    report = lnd_bounded(d, bound)
-    if report.verdict != "LocallyNilpotent":
-        raise ValueError(f"flow needs local nilpotency certified within bound {bound}")
     ring = d.ring
     ext = _extended(ring, (param,))
     tau = ext.ctx.var(param)
     images = {}
     for name in ring.ctx.variables:
-        total = lift(ring.nf(ring.ctx.var(name)).poly, ext.ctx)
-        cur = d.apply(ring.ctx.var(name))
-        k = 1
-        while not cur.is_zero:
-            total = total + lift(cur.poly, ext.ctx) * tau ** k * Fraction(1, factorial(k))
-            cur = d.apply(cur)
-            k += 1
-        images[name] = total
+        orbit = _orbit(d, ring.nf(ring.ctx.var(name)), bound)
+        if orbit is None:
+            raise ValueError(f"flow needs local nilpotency certified within bound {bound}")
+        images[name] = sum((lift(g.poly, ext.ctx) * tau ** k * Fraction(1, factorial(k))
+                            for k, g in enumerate(orbit)), ext.ctx.zero())
     return make_endomorphism(ring, (param,), images)
 
 
@@ -433,8 +437,8 @@ def invariance_check(d: Derivation, locus: str) -> bool:
 def kernel_chain(d: Derivation, f, bound: int = 32) -> tuple[int, RingElement]:
     """Iterate a homogeneous derivation until landing in its kernel.
 
-    Returns (nu, d^nu(f)) with d^nu(f) != 0 and d^(nu+1)(f) = 0; the result
-    is homogeneous of degree deg(f) + nu * ell.
+    Returns (nu, d^nu(f)) with d^nu(f) != 0 and d^(nu+1)(f) = 0, allowing
+    nu <= bound; the result is homogeneous of degree deg(f) + nu * ell.
     """
     f = _as_element(f, d.ring)
     if f.is_zero:
@@ -447,16 +451,14 @@ def kernel_chain(d: Derivation, f, bound: int = 32) -> tuple[int, RingElement]:
     if shift is None:
         raise ValueError("kernel_chain needs a homogeneous derivation")
     ell = 0 if shift is ANY_DEGREE else shift
-    cur = f
-    nxt = d.apply(f)
-    nu = 0
-    while not nxt.is_zero:
-        cur, nxt = nxt, d.apply(nxt)
-        nu += 1
-        if nu > bound:
-            raise ValueError(f"no kernel element reached within {bound} applications")
-    assert is_homogeneous(cur, k + nu * ell)
-    return nu, cur
+    # nu steps leave nu + 1 nonzero iterates; an element of the kernel needs
+    # no step whatever the bound
+    orbit = _orbit(d, f, max(bound, 0) + 1)
+    if orbit is None:
+        raise ValueError(f"no kernel element reached within {bound} applications")
+    nu, bottom = len(orbit) - 1, orbit[-1]
+    assert is_homogeneous(bottom, k + nu * ell)
+    return nu, bottom
 
 
 def deck_sigma() -> RingEndomorphism:
@@ -502,8 +504,14 @@ def derivation_from_json(data: Mapping) -> Derivation:
     missing = [key for key in _IMAGE_KEYS if key not in data]
     if missing:
         raise ValueError(f"derivation file is missing keys: {missing}")
+    unknown = sorted(set(data) - {"ring", *_IMAGE_KEYS})
+    if unknown:
+        raise ValueError(f"derivation file has unknown keys: {unknown}")
+    for key in _IMAGE_KEYS:
+        if not isinstance(data[key], str):
+            raise ValueError(f"derivation image {key!r} must be a string, got {data[key]!r}")
     ring = ring_by_name(ring_name)
-    return make_derivation(ring, {key[1]: str(data[key]) for key in _IMAGE_KEYS})
+    return make_derivation(ring, {key[1]: data[key] for key in _IMAGE_KEYS})
 
 
 def example_derivations() -> dict[str, Derivation]:

@@ -261,8 +261,8 @@ class Poly:
     def evaluate(self, point: Mapping[str, object]):
         """Exact evaluation at a point binding every occurring variable.
 
-        Point values are Fractions (or ModP residues for the fast oracle).
-        Evaluating a negative power at 0 raises ZeroDivisionError.
+        Point values are Fractions.  Evaluating a negative power at 0 raises
+        ZeroDivisionError.
         """
         total = 0
         for mono, coeff in self.terms.items():

@@ -44,9 +44,10 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
+from math import prod
 from operator import add, neg, sub
+from typing import Mapping
 
-from .modp import ModP, ORACLE_PRIME
 from .parse import parse
 from .poly import Context, Poly, binary_power, lift
 
@@ -347,13 +348,34 @@ def _surface_of(ring: QuotientRing) -> str:
     raise ValueError(f"no point sampler for ring {ring.name}")
 
 
+ORACLE_PRIME = 2**31 - 1  # the Mersenne prime of the "modp" oracle mode
+
+
+def _residue(q: Fraction) -> int:
+    den = q.denominator % ORACLE_PRIME
+    if not den:
+        raise ZeroDivisionError(f"denominator of {q} vanishes mod {ORACLE_PRIME}")
+    return q.numerator * pow(den, -1, ORACLE_PRIME) % ORACLE_PRIME
+
+
+def _evaluate_mod(poly: Poly, point: Mapping[str, Fraction]) -> int:
+    """Value of a polynomial at a point with every coordinate bound, in
+    Z/pZ for p = ORACLE_PRIME, as an int in [0, p).  Coefficients and
+    coordinates become int residues once; a denominator divisible by p
+    raises ZeroDivisionError."""
+    p = ORACLE_PRIME
+    values = [_residue(point[name]) for name in poly.ctx.variables]
+    return sum(_residue(coeff) * prod(pow(v, e, p) for v, e in zip(values, mono))
+               for mono, coeff in poly.terms.items()) % p
+
+
 def oracle_equal(a: RingElement, b: RingElement, samples: int = 50, seed: int = 0,
-                 mode: str = "qq", p: int = ORACLE_PRIME) -> bool:
+                 mode: str = "qq") -> bool:
     """Probabilistic equality via evaluation at random surface points.
 
-    mode "qq" evaluates exactly over Q; mode "modp" pushes the same points
-    into Z/pZ first.  A False answer is definitive for "qq"; True means no
-    sampled point separated the two elements.
+    mode "qq" evaluates exactly over Q; mode "modp" evaluates at the same
+    points in Z/pZ, p = ORACLE_PRIME.  A False answer is definitive for
+    "qq"; True means no sampled point separated the two elements.
     """
     if a.ring != b.ring:
         raise RingMismatchError("oracle_equal needs elements of one ring")
@@ -366,8 +388,7 @@ def oracle_equal(a: RingElement, b: RingElement, samples: int = 50, seed: int = 
     rng = random.Random(seed)
     for _ in range(samples):
         point = random_point(surface, rng=rng)
-        if mode == "modp":
-            point = {k: ModP.from_fraction(v, p) for k, v in point.items()}
-        if diff.evaluate(point) != 0:
+        value = _evaluate_mod(diff, point) if mode == "modp" else diff.evaluate(point)
+        if value != 0:
             return False
     return True

@@ -23,7 +23,6 @@ from .derivations import (ANY_DEGREE, Derivation, compose, conjugate, deck_sigma
                           degree_ell, example_derivations, flow, identity_endomorphism,
                           induced_graded, invariance_check, is_homogeneous_derivation,
                           kernel_chain, lnd_bounded, make_derivation, scaling, specialize)
-from .modp import ORACLE_PRIME
 from .parse import parse
 from .poly import Context, Poly, lift
 from .quotient import (CTX_XYZT, CTX_ZT, RING_A, RING_B, RING_NEIL, RING_V,

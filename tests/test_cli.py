@@ -154,6 +154,13 @@ def test_kernel_chain(capsys, delta1_file):
     assert json.loads(out) == {"steps": 2, "element": "-2*x^2", "deg": -2}
 
 
+def test_kernel_chain_bound_too_small_exit_2(capsys, delta1_file):
+    code, out, err = run(capsys, "kernel-chain", "--file", delta1_file,
+                         "--bound", "1", "--expr", "y")
+    assert code == 2 and out == ""
+    assert "no kernel element reached within 1 applications" in err
+
+
 def test_kernel_chain_stdin_derivation_needs_expr(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(DELTA1)))
     code, _, err = run(capsys, "kernel-chain")
@@ -169,6 +176,14 @@ def test_random_point_deterministic(capsys):
     point = json.loads(out1)["point"]
     assert set(point) == {"x", "y", "z", "t"}
     assert point["x"] != "0"
+
+
+@pytest.mark.parametrize("extra,named", [({"dy": None}, "'dy'"), ({"extra": 1}, "'extra'")])
+def test_bad_derivation_json_exit_2(capsys, monkeypatch, extra, named):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({**D1, **extra})))
+    code, out, err = run(capsys, "check-derivation")
+    assert code == 2 and out == ""
+    assert named in err
 
 
 def test_missing_file_exit_2(capsys):

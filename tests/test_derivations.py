@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from russell.derivations import (ANY_DEGREE, CompatibilityError, EndomorphismError,
-                                 compose, conjugate, deck_sigma, degree_ell,
+from russell.derivations import (ANY_DEGREE, CompatibilityError, Derivation,
+                                 EndomorphismError, compose, conjugate, deck_sigma, degree_ell,
                                  derivation_from_json, derivation_to_json,
                                  example_derivations, flow, identity_endomorphism,
                                  induced_graded, invariance_check,
@@ -304,6 +304,45 @@ class TestKernelChain:
             kernel_chain(delta(D1), 0)
 
 
+class TestBoundEdges:
+    """lnd_bounded, flow and induce accept orders up to the bound; kernel_chain
+    accepts up to bound steps, one application fewer than the orbit length."""
+
+    def test_lnd_certifies_order_equal_to_bound(self):
+        assert lnd_bounded(D1, 3).verdict == "LocallyNilpotent"
+        assert lnd_bounded(D1, 2).verdict == "Unknown"
+
+    def test_flow_bound(self):
+        assert str(flow(D1, bound=3).images["y"]) == "-1*x^2*tau^2 + 1*y + -2*t*tau"
+        with pytest.raises(ValueError, match="certified within bound 2"):
+            flow(D1, bound=2)
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            flow(D1, bound=0)
+
+    def test_kernel_chain_bound_counts_steps(self):
+        nu, bottom = kernel_chain(delta(D1), "y", bound=2)
+        assert (nu, str(bottom)) == (2, "-2*x^2")
+        with pytest.raises(ValueError, match="no kernel element reached within 1 applications"):
+            kernel_chain(delta(D1), "y", bound=1)
+
+    @pytest.mark.parametrize("bound", [1, 0, -1])
+    def test_kernel_element_needs_no_steps(self, bound):
+        assert kernel_chain(delta(D1), "x", bound=bound) == (0, RING_B.nf("x"))
+
+    def test_flow_walks_each_orbit_once(self, monkeypatch):
+        calls = []
+        original = Derivation.apply
+
+        def counting(self, a):
+            calls.append(a)
+            return original(self, a)
+
+        monkeypatch.setattr(Derivation, "apply", counting)
+        flow(D1)
+        applied = len(calls)
+        assert applied == sum(lnd_bounded(D1).orders.values()) == 7
+
+
 class TestConjugation:
     def test_by_own_flow_is_identity(self):
         conj = conjugate(D1, flow(D1, "s"))
@@ -339,3 +378,14 @@ class TestSerialization:
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError):
             derivation_from_json({"ring": "A", "dy": "-2*t"})
+
+    def test_rejects_unknown_keys(self):
+        data = dict(derivation_to_json(D1), extra=1)
+        with pytest.raises(ValueError, match="unknown keys: \\['extra'\\]"):
+            derivation_from_json(data)
+
+    @pytest.mark.parametrize("value", [None, 0, ["-2*t"]])
+    def test_rejects_non_string_images(self, value):
+        data = dict(derivation_to_json(D1), dy=value)
+        with pytest.raises(ValueError, match="derivation image 'dy' must be a string"):
+            derivation_from_json(data)

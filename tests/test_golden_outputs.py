@@ -1,9 +1,11 @@
 """Frozen digests of user-visible outputs.
 
-Performance work must leave every output byte-identical: the verifier report
-and the normal forms printed by ``russell nf --json``.  The digests below
-are SHA-256 hashes of those exact texts; a change to any normal form, to the
-canonical print order, or to the report layout changes them.
+Performance work must leave every output byte-identical: the verifier report,
+the normal forms printed by ``russell nf --json``, and the ``--json`` output
+and exit code of the derivation commands ``lnd``, ``flow``, ``induce`` and
+``kernel-chain``.  The digests below are SHA-256 hashes of those exact texts;
+a change to any normal form, to the canonical print order, or to the report
+layout changes them.
 
 A passing report carries no seed-dependent text, so seeds 0..9 share one
 digest; the randomized checks still run on seed-dependent samples.
@@ -42,6 +44,40 @@ NF_DIGESTS = {
         "fd23e372b2b10931a6ba853db413bd69a7197c0b3b58cccffbd1390e2614ee5c",
 }
 
+DERIVATIONS = {
+    "d1": {"ring": "A", "dx": "0", "dy": "-2*t", "dz": "0", "dt": "x^2"},
+    "d2": {"ring": "A", "dx": "0", "dy": "-3*z^2", "dz": "x^2", "dt": "0"},
+    "delta1": {"ring": "B", "dx": "0", "dy": "-2*t", "dz": "0", "dt": "x^2"},
+}
+
+# (derivation, command) -> (exit code, SHA-256 of stdout); induce refuses ring B
+DERIVATION_DIGESTS = {
+    ("d1", "lnd"):
+        (0, "8c25240863f409eeb3cf72a9d5e3e132ea20572cfdac8bdace889f6d494534d7"),
+    ("d1", "flow"):
+        (0, "e08e100cfd8b20b9a774e2ea7a8372cb43d8d1cb2b44c296b85475c7ffa10a4f"),
+    ("d1", "induce"):
+        (0, "51586381556c9f77f420891e75be03ef807f01cac313a8f7a2588a54993a30f4"),
+    ("d1", "kernel-chain"):
+        (0, "0d8451a711e054bcc1627b7ee7cb748ab99a24a47ec897f2067cf5f554844cfe"),
+    ("d2", "lnd"):
+        (0, "01eaa68d6003c8a3b5c9b748304215f1a6016e626aa1eff0b8bd4b7a5ad0f84d"),
+    ("d2", "flow"):
+        (0, "50ad4475ae0cb78a6fad9526fa1ead2f715469413437fe4e98652fb36c59404b"),
+    ("d2", "induce"):
+        (0, "2561212590c9b559ed6583fb55fd5cf4b24cc3512e438cfbd238e0a1238c17c4"),
+    ("d2", "kernel-chain"):
+        (0, "777b350764d5f39a2eaac6f511e6237f4310b3a1e2569399726d5ec4782fb496"),
+    ("delta1", "lnd"):
+        (0, "8c25240863f409eeb3cf72a9d5e3e132ea20572cfdac8bdace889f6d494534d7"),
+    ("delta1", "flow"):
+        (0, "022b3e0c713ea9a12551916c07335f026b277f5d22dc508c91bf390a4775477d"),
+    ("delta1", "induce"):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("delta1", "kernel-chain"):
+        (0, "0d8451a711e054bcc1627b7ee7cb748ab99a24a47ec897f2067cf5f554844cfe"),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -59,3 +95,16 @@ def test_nf_json_digest(ring, expr):
     with contextlib.redirect_stdout(out):
         assert main(["nf", "--ring", ring, "--expr", expr, "--json"]) == 0
     assert _sha256(out.getvalue()) == NF_DIGESTS[ring, expr]
+
+
+@pytest.mark.parametrize("name,command", sorted(DERIVATION_DIGESTS))
+def test_derivation_json_digest(name, command, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DERIVATIONS[name]))
+    argv = [command, "--file", str(path), "--json"]
+    if command == "kernel-chain":
+        argv += ["--expr", "y"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert (code, _sha256(out.getvalue())) == DERIVATION_DIGESTS[name, command]

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from russell.modp import ModP, ORACLE_PRIME
 from russell.poly import Context, Poly, invert_unit, lift
 from russell.quotient import CTX_XYZT, RING_A
 from russell.sampling import random_poly
@@ -119,12 +118,6 @@ def test_evaluate_laurent_pole():
         f.evaluate({"x": Fraction(0), "y": 0})
 
 
-def test_evaluate_modp():
-    f = LX.var("x", -2) * LX.var("y")
-    val = f.evaluate({"x": ModP(3), "y": ModP(5)})
-    assert val == ModP(5) * ModP(pow(9, ORACLE_PRIME - 2, ORACLE_PRIME))
-
-
 def test_lift_requires_present_variables_only():
     sub = Context(("x",))
     f = XY.var("x") ** 2  # y absent, so lifting into a y-free context is fine
@@ -147,27 +140,6 @@ def test_context_extend():
     assert XY.extend(("x",)).variables == XY.variables  # already present
     with pytest.raises(ValueError):
         Context(("x", "x"))
-
-
-class TestModP:
-    def test_field_ops(self):
-        a, b = ModP(7), ModP(ORACLE_PRIME - 1)
-        assert a + b == ModP(6)
-        assert a * b == -a
-        assert a - 7 == ModP(0)
-        assert (a ** -1) * a == ModP(1)
-
-    def test_from_fraction(self):
-        q = Fraction(-3, 7)
-        assert ModP.from_fraction(q) * ModP(7) == ModP(-3)
-
-    def test_zero_inverse_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            ModP(0) ** -1
-
-    def test_bool(self):
-        assert not ModP(0)
-        assert ModP(2)
 
 
 # -- the fraction-free multiply kernel -------------------------------------------

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from russell.poly import Context
-from russell.quotient import (CTX_XYZT, RING_A, RING_B, RING_NEIL, RING_V,
-                              QuotientRing, RingElement, RingMismatchError,
+from russell.quotient import (CTX_XYZT, ORACLE_PRIME, RING_A, RING_B, RING_NEIL, RING_V,
+                              QuotientRing, RingElement, RingMismatchError, _evaluate_mod,
                               oracle_equal, random_point, ring_by_name, surface_point)
 from russell.sampling import random_poly
 
@@ -214,6 +214,30 @@ def test_oracle_equal_detects_equality_and_difference():
         x, y = RING_A.nf("x"), RING_A.nf("y")
         assert not oracle_equal(x, y, samples=12, seed=1, mode=mode)
         assert not oracle_equal(x, x + 1, samples=12, seed=2, mode=mode)
+
+
+def test_evaluate_mod_is_exact_value_mod_p():
+    rng = random.Random(47)
+    for _ in range(30):
+        f = random_poly(CTX_XYZT, rng, max_terms=5, max_degree=5)
+        pt = random_point("X", rng=rng)
+        q = f.evaluate(pt)
+        want = q.numerator * pow(q.denominator, -1, ORACLE_PRIME) % ORACLE_PRIME
+        assert _evaluate_mod(f, pt) == want
+    laurent = Context(("x", "y"), laurent=frozenset({"x"}))
+    f = laurent.var("x", -2) * laurent.var("y")
+    assert _evaluate_mod(f, {"x": Fraction(3), "y": Fraction(5)}) == \
+        5 * pow(9, -1, ORACLE_PRIME) % ORACLE_PRIME
+
+
+@pytest.mark.parametrize("other", ["0", "x*z"])
+def test_oracle_modp_rejects_coefficient_with_denominator_p(other):
+    # the difference a - b has the coefficient 1/p, constant or not
+    a = RING_A.nf(1 + Fraction(1, ORACLE_PRIME))
+    b = RING_A.nf(f"1 + {other}")
+    with pytest.raises(ZeroDivisionError):
+        oracle_equal(a, b, samples=3, mode="modp")
+    assert not oracle_equal(a, b, samples=3, mode="qq")
 
 
 def test_oracle_equal_rejects_mixed_rings():
