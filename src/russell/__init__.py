@@ -8,8 +8,7 @@ Makar-Limanov's theorem that no additive group action on the cubic moves the
 first coordinate.
 """
 
-from .derivations import (ANY_DEGREE, LAURENT_PARAMS, LOCI, PARAM_ORDER,
-                          CompatibilityError, Derivation, EndomorphismError,
+from .derivations import (ANY_DEGREE, LOCI, CompatibilityError, Derivation, EndomorphismError,
                           F_MINUS_RING, F_PLUS_RING, NilpotencyReport,
                           RingEndomorphism, compose, conjugate, deck_sigma,
                           degree_ell, derivation_from_json, derivation_to_json,
@@ -19,9 +18,9 @@ from .derivations import (ANY_DEGREE, LAURENT_PARAMS, LOCI, PARAM_ORDER,
                           make_endomorphism, scaling, specialize)
 from .parse import ParseError, parse
 from .poly import Context, Poly, invert_unit, lift
-from .quotient import (CTX_XYZT, CTX_XZT, CTX_ZT, ORACLE_PRIME, QuotientRing, RING_A,
-                       RING_B, RING_NEIL, RING_V, RingElement, RingMismatchError,
-                       oracle_equal, random_point, ring_by_name, surface_point)
+from .quotient import (CTX_XYZT, CTX_XZT, CTX_ZT, LAURENT_PARAMS, ORACLE_PRIME,
+                       PARAM_ORDER, QuotientRing, RING_A, RING_B, RING_NEIL, RING_V,
+                       RingElement, RingMismatchError, oracle_equal, random_point, ring_by_name, surface_point)
 from .sampling import random_element, random_nonzero_element, random_poly, random_rational
 from .verifier import CheckResult, all_passed, format_report, report_to_json, run_all
 from .weights import (WEIGHTS, deg, deg_laurent_oracle, gr, homogeneous_components,

@@ -21,7 +21,7 @@ from .derivations import (CompatibilityError, Derivation, LOCI, degree_ell,
                           derivation_from_json, derivation_to_json, flow,
                           induced_graded, invariance_check, kernel_chain, lnd_bounded)
 from .parse import ParseError, parse
-from .quotient import RingMismatchError, ring_by_name, random_point
+from .quotient import ring_by_name, random_point
 from .weights import deg, gr
 
 _RING_NAMES = ("A", "B", "Neil", "V")
@@ -232,9 +232,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error at position {exc.position}: {exc.message}", file=sys.stderr)
-        return 2
-    except RingMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

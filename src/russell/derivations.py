@@ -36,9 +36,6 @@ from .quotient import (CTX_XZT, QuotientRing, RING_A, RING_B, RING_V,
                        RingElement, RingMismatchError, ring_by_name)
 from .weights import WEIGHTS, deg, is_homogeneous, weight_components
 
-PARAM_ORDER = ("tau", "sigma", "s", "u", "v", "lam", "mu")
-LAURENT_PARAMS = frozenset({"lam", "mu"})
-
 
 class CompatibilityError(ValueError):
     """The candidate images do not define a derivation of the quotient."""
@@ -56,31 +53,23 @@ class EndomorphismError(ValueError):
         self.residue = residue
 
 
-def _merge_params(*groups: tuple[str, ...]) -> tuple[str, ...]:
-    seen = {name for group in groups for name in group}
-    known = [p for p in PARAM_ORDER if p in seen]
-    return tuple(known) + tuple(sorted(seen - set(PARAM_ORDER)))
-
-
-def _extended(ring: QuotientRing, params: tuple[str, ...]) -> QuotientRing:
-    return ring.extend(params, laurent=LAURENT_PARAMS & set(params))
-
-
-def _as_element(value, ring: QuotientRing) -> RingElement:
+def _as_poly(value, ring: QuotientRing) -> Poly:
+    """A polynomial over ring's context, not reduced.  A ring element must
+    come from ring or from a ring that ring extends by parameters."""
     if isinstance(value, RingElement):
-        if value.ring == ring:
-            return value
+        src = value.ring
+        if src == ring:
+            return value.poly
         # only parameter extensions share a relation; B into A would silently
         # reinterpret a different quotient
-        if (set(value.ring.ctx.variables) <= set(ring.ctx.variables)
-                and value.ring.order == ring.order
-                and lift(value.ring.relation, ring.ctx) == ring.relation):
-            return ring.nf(lift(value.poly, ring.ctx))
-        raise RingMismatchError(
-            f"element of {value.ring.name} cannot be read in {ring.name}")
+        if not (set(src.ctx.variables) <= set(ring.ctx.variables)
+                and src.ctx.laurent <= ring.ctx.laurent and src.order == ring.order
+                and lift(src.relation, ring.ctx) == ring.relation):
+            raise RingMismatchError(f"element of {src.name} cannot be read in {ring.name}")
+        value = value.poly
     if isinstance(value, Poly):
-        return ring.nf(lift(value, ring.ctx))
-    return ring.nf(value)
+        return lift(value, ring.ctx)
+    return ring.nf(value).poly
 
 
 # -- derivations --------------------------------------------------------------
@@ -99,11 +88,11 @@ class Derivation:
         return all(img.is_zero for img in self.images.values())
 
     def apply(self, a) -> RingElement:
-        """Leibniz extension to a ring element, reduced to normal form."""
+        """Leibniz extension to a ring element, reduced to normal form.  A
+        polynomial is differentiated as it stands, before any reduction."""
         ring = self.ring
-        a = _as_element(a, ring)
         ctx = ring.ctx
-        terms = a.poly.terms
+        terms = _as_poly(a, ring).terms
         total = ctx.zero()
         for i, name in enumerate(ctx.variables):
             img = self.images[name]
@@ -137,14 +126,12 @@ def make_derivation(ring: QuotientRing, images: Mapping[str, object]) -> Derivat
     unknown = set(images) - set(ring.ctx.variables)
     if unknown:
         raise ValueError(f"images for unknown variables: {sorted(unknown)}")
-    imgs = {name: _as_element(images.get(name, 0), ring) for name in ring.ctx.variables}
-    residue = ring.ctx.zero()
-    for name in ring.relation.variables_present():
-        residue = residue + imgs[name].poly * ring.relation.partial(name)
-    residue_nf = ring.nf(residue)
-    if not residue_nf.is_zero:
-        raise CompatibilityError(residue_nf)
-    return Derivation(ring, imgs)
+    d = Derivation(ring, {name: ring.nf(_as_poly(images.get(name, 0), ring))
+                          for name in ring.ctx.variables})
+    residue = d.apply(ring.relation)
+    if not residue.is_zero:
+        raise CompatibilityError(residue)
+    return d
 
 
 @dataclass(frozen=True)
@@ -275,21 +262,16 @@ class RingEndomorphism:
 
     @property
     def extended_ring(self) -> QuotientRing:
-        return _extended(self.ring, self.params)
+        return self.ring.extend(self.params)
 
     def apply(self, f) -> RingElement:
-        """Image of an element of the base (or extended) ring."""
-        ext = self.extended_ring
-        if isinstance(f, RingElement):
-            if f.ring != self.ring and f.ring != ext:
-                raise RingMismatchError(f"cannot apply a map on {self.ring.name} to {f.ring.name}")
-            f = f.poly
-        elif isinstance(f, str):
-            from .parse import parse
-            f = parse(f, ext.ctx)
-        bindings = {name: img.poly for name, img in self.images.items()
-                    if name in f.ctx.variables}
-        return ext.nf(f.substitute(bindings, target=ext.ctx))
+        """Image of an element of the ring or of any parameter extension of
+        it, in the ring extended by the parameters of both.  A polynomial
+        is mapped as it stands, before any reduction."""
+        names = self.params + (f.ring.ctx.variables if isinstance(f, RingElement) else ())
+        ext = self.ring.extend(names)
+        bindings = {name: lift(img.poly, ext.ctx) for name, img in self.images.items()}
+        return ext.nf(_as_poly(f, ext).substitute(bindings, target=ext.ctx))
 
     __call__ = apply
 
@@ -314,17 +296,16 @@ def make_endomorphism(ring: QuotientRing, params: tuple[str, ...],
     unknown = set(images) - set(ring.ctx.variables)
     if unknown:
         raise ValueError(f"images for unknown variables: {sorted(unknown)}")
-    params = _merge_params(tuple(params))
-    ext = _extended(ring, params)
+    ext = ring.extend(params)
     imgs = {}
     for name in ring.ctx.variables:
         value = images.get(name)
-        imgs[name] = ext.nf(ext.ctx.var(name)) if value is None else _as_element(value, ext)
-    image_polys = {name: img.poly for name, img in imgs.items()}
-    residue = ext.nf(ring.relation.substitute(image_polys, target=ext.ctx))
+        imgs[name] = ext.nf(ext.ctx.var(name) if value is None else _as_poly(value, ext))
+    e = RingEndomorphism(ring, ext.ctx.variables[len(ring.ctx.variables):], imgs)
+    residue = e.apply(ring.relation)
     if not residue.is_zero:
         raise EndomorphismError(residue)
-    return RingEndomorphism(ring, params, imgs)
+    return e
 
 
 def identity_endomorphism(ring: QuotientRing) -> RingEndomorphism:
@@ -335,15 +316,8 @@ def compose(e1: RingEndomorphism, e2: RingEndomorphism) -> RingEndomorphism:
     """e1 after e2: the validated map sending g to e1(e2(g))."""
     if e1.ring != e2.ring:
         raise RingMismatchError("cannot compose endomorphisms of different rings")
-    params = _merge_params(e1.params, e2.params)
-    ext = _extended(e1.ring, params)
-    outer = {name: lift(img.poly, ext.ctx) for name, img in e1.images.items()}
-    images = {}
-    for name in e1.ring.ctx.variables:
-        inner = e2.images[name].poly
-        bindings = {v: outer[v] for v in e1.ring.ctx.variables if v in inner.ctx.variables}
-        images[name] = ext.nf(inner.substitute(bindings, target=ext.ctx))
-    return make_endomorphism(e1.ring, params, images)
+    images = {name: e1.apply(img) for name, img in e2.images.items()}
+    return make_endomorphism(e1.ring, e1.params + e2.params, images)
 
 
 def specialize(e: RingEndomorphism, bindings: Mapping[str, object]) -> RingEndomorphism:
@@ -361,15 +335,11 @@ def specialize(e: RingEndomorphism, bindings: Mapping[str, object]) -> RingEndom
             raise TypeError(f"cannot bind parameter {name!r} to {value!r}")
         polys[name] = value
         extra |= value.variables_present() - set(e.ring.ctx.variables)
-    remaining = tuple(p for p in e.params if p not in polys)
-    params = _merge_params(remaining, tuple(extra))
-    ext = _extended(e.ring, params)
+    params = tuple(p for p in e.params if p not in polys) + tuple(extra)
+    ext = e.ring.extend(params)
     lifted = {name: lift(p, ext.ctx) for name, p in polys.items()}
-    images = {}
-    for name in e.ring.ctx.variables:
-        img = e.images[name].poly
-        used = {v: lifted[v] for v in lifted if v in img.ctx.variables}
-        images[name] = ext.nf(img.substitute(used, target=ext.ctx))
+    images = {name: img.poly.substitute(lifted, target=ext.ctx)
+              for name, img in e.images.items()}
     return make_endomorphism(e.ring, params, images)
 
 
@@ -381,7 +351,7 @@ def flow(d: Derivation, param: str = "tau", bound: int = 32) -> RingEndomorphism
     characteristic zero.
     """
     ring = d.ring
-    ext = _extended(ring, (param,))
+    ext = ring.extend((param,))
     tau = ext.ctx.var(param)
     images = {}
     for name in ring.ctx.variables:
@@ -395,7 +365,7 @@ def flow(d: Derivation, param: str = "tau", bound: int = 32) -> RingEndomorphism
 
 def scaling(ring: QuotientRing = RING_B, param: str = "lam") -> RingEndomorphism:
     """Torus scaling S_lam: g -> lam^w(g) * g, with lam a Laurent parameter."""
-    ext = _extended(ring, (param,))
+    ext = ring.extend((param,))
     lam = ext.ctx.var(param)
     images = {name: lam ** WEIGHTS.get(name, 0) * ext.ctx.var(name)
               for name in ring.ctx.variables}
@@ -440,7 +410,7 @@ def kernel_chain(d: Derivation, f, bound: int = 32) -> tuple[int, RingElement]:
     Returns (nu, d^nu(f)) with d^nu(f) != 0 and d^(nu+1)(f) = 0, allowing
     nu <= bound; the result is homogeneous of degree deg(f) + nu * ell.
     """
-    f = _as_element(f, d.ring)
+    f = d.ring.nf(_as_poly(f, d.ring))
     if f.is_zero:
         raise ValueError("kernel_chain needs a nonzero element")
     parts = weight_components(f.poly)

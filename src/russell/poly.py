@@ -127,10 +127,6 @@ class Poly:
                     names.add(name)
         return names
 
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial (0 if absent)."""
-        return self.terms.get((0,) * len(self.ctx.variables), Fraction(0))
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):

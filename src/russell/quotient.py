@@ -56,6 +56,15 @@ class RingMismatchError(ValueError):
     pass
 
 
+# formal parameters of flows and scalings, in the order extensions list them
+PARAM_ORDER = ("tau", "sigma", "s", "u", "v", "lam", "mu")
+LAURENT_PARAMS = frozenset({"lam", "mu"})
+
+
+def _param_rank(name: str) -> tuple[int, str]:
+    return (PARAM_ORDER.index(name) if name in PARAM_ORDER else len(PARAM_ORDER), name)
+
+
 def _descending_key(order: str):
     """Sort key under which the order-largest monomial comes first."""
     if order == "grlex":
@@ -164,7 +173,7 @@ class QuotientRing:
             factor = Poly._make(self.ctx, {quotient: f.terms[mono] / self.lead_coeff})
             f = f - factor * self.relation
 
-    def nf(self, value, strategy: str = "max") -> "RingElement":
+    def nf(self, value) -> "RingElement":
         """Normal form of a polynomial, expression string, or scalar."""
         if isinstance(value, RingElement):
             if value.ring != self:
@@ -179,7 +188,7 @@ class QuotientRing:
                 raise RingMismatchError("polynomial context does not match the ring")
         else:
             raise TypeError(f"cannot interpret {value!r} as a ring element")
-        return RingElement(self, self.reduce(value, strategy))
+        return RingElement(self, self.reduce(value))
 
     def zero(self) -> "RingElement":
         return RingElement(self, self.ctx.zero())
@@ -187,15 +196,19 @@ class QuotientRing:
     def one(self) -> "RingElement":
         return RingElement(self, self.ctx.one())
 
-    def extend(self, params: tuple[str, ...], laurent: frozenset[str] = frozenset()) -> "QuotientRing":
-        """The same relation over a context with formal parameters appended."""
-        fresh = tuple(n for n in params if n not in self.ctx.variables)
+    def extend(self, params: tuple[str, ...]) -> "QuotientRing":
+        """The same relation over a context with formal parameters appended.
+
+        The one place parameter rings are made.  New parameters follow
+        PARAM_ORDER, then the alphabet; lam and mu are Laurent.  Each
+        ring and parameter set gives one cached extension."""
+        fresh = tuple(sorted(set(params) - set(self.ctx.variables), key=_param_rank))
         if not fresh:
             return self
-        key = (self.name, fresh, laurent)
+        key = (self, fresh)
         got = _EXTENSION_CACHE.get(key)
         if got is None:
-            ctx = self.ctx.extend(fresh, laurent=frozenset(laurent) & set(fresh))
+            ctx = self.ctx.extend(fresh, laurent=LAURENT_PARAMS.intersection(fresh))
             got = QuotientRing(f"{self.name}[{','.join(fresh)}]", ctx,
                                lift(self.relation, ctx), self.order)
             _EXTENSION_CACHE[key] = got

@@ -51,32 +51,24 @@ class CheckResult:
                 "status": self.status, "witness": self.witness}
 
 
-def _first_nonzero(residues) -> str | None:
+def _check(check_id: str, description: str, ref: str, residues=(),
+           facts: dict[str, bool] | None = None) -> CheckResult:
+    """Fails with the first nonzero residue as witness, else with the failed
+    facts joined by "; "; passes with witness "0"."""
     for r in residues:
         poly = r.poly if isinstance(r, RingElement) else r
         if not poly.is_zero:
-            return str(poly)
-    return None
-
-
-def _identity_check(check_id: str, description: str, ref: str, residues) -> CheckResult:
-    bad = _first_nonzero(residues)
-    if bad is None:
-        return CheckResult(check_id, description, ref, "pass", "0")
-    return CheckResult(check_id, description, ref, "fail", bad)
+            return CheckResult(check_id, description, ref, "fail", str(poly))
+    failed = [name for name, ok in (facts or {}).items() if not ok]
+    if failed:
+        return CheckResult(check_id, description, ref, "fail", "; ".join(failed))
+    return CheckResult(check_id, description, ref, "pass", "0")
 
 
 def _control_check(check_id: str, description: str, ref: str, residue) -> CheckResult:
     poly = residue.poly if isinstance(residue, RingElement) else residue
     status = "pass" if not poly.is_zero else "fail"
     return CheckResult(check_id, description, ref, status, str(poly))
-
-
-def _bool_check(check_id: str, description: str, ref: str, facts: dict[str, bool]) -> CheckResult:
-    failed = [name for name, ok in facts.items() if not ok]
-    if not failed:
-        return CheckResult(check_id, description, ref, "pass", "0")
-    return CheckResult(check_id, description, ref, "fail", "; ".join(failed))
 
 
 # blowup chart data: ideal (g, h) with g = x^2, h = x + z^3 + t^2
@@ -91,7 +83,7 @@ def check_embedding() -> CheckResult:
     image = _CHART_EQ.substitute(
         {"u": _CTX_BLOWUP.one(), "v": _CTX_BLOWUP.var("y")}, target=_CTX_BLOWUP)
     residue = image - lift(RING_A.relation, _CTX_BLOWUP)
-    return _identity_check(
+    return _check(
         "embedding",
         "chart u=1, v=y of the blowup along (x^2, x+z^3+t^2) recovers the cubic",
         "blowup of affine 3-space along the ideal (x^2, x + z^3 + t^2)",
@@ -125,16 +117,11 @@ def check_fiber_over_zero(seed: int = 0) -> CheckResult:
         pt = random_point("X", rng=rng)
         facts[f"sample {i} has x != 0"] = pt["x"] != 0
         facts[f"sample {i} lies on the cubic"] = RING_A.relation.evaluate(pt) == 0
-    bad = _first_nonzero(residues)
-    if bad is not None:
-        return CheckResult("fiber_over_zero", "fiber of the family over x=0",
-                           "special fiber of the modification over the cusp curve",
-                           "fail", bad)
-    return _bool_check(
+    return _check(
         "fiber_over_zero",
         "x=0 forces z^3 + t^2 = 0; 20 sampled points stay off the special fiber",
         "special fiber of the modification over the cusp curve",
-        facts)
+        residues, facts)
 
 
 def check_singular_locus() -> CheckResult:
@@ -151,7 +138,7 @@ def check_singular_locus() -> CheckResult:
     certificate = ((one - 2 * _CTX_BLOWUP.var("v") * _CTX_BLOWUP.var("x")) * e_plus.partial("x")
                    + 4 * _CTX_BLOWUP.var("v") ** 2 * e_plus.partial("v"))
     residues.append(certificate - one)
-    return _identity_check(
+    return _check(
         "singular_locus",
         "v=1 chart is singular exactly along the cusp section; u=1 chart is smooth",
         "singular locus of the blown-up family",
@@ -180,22 +167,18 @@ def check_gm_action() -> CheckResult:
     residues.append(RING_B.relation.substitute(image_polys, target=ext.ctx)
                     - lift(RING_B.relation, ext.ctx))
     mu = scaling(param="mu")
-    ctx2 = RING_B.extend(("lam", "mu"), laurent=frozenset({"lam", "mu"})).ctx
+    ctx2 = RING_B.extend(("lam", "mu")).ctx
     product = specialize(S, {"lam": ctx2.var("lam") * ctx2.var("mu")})
     facts = {
         "scaling group law S_lam . S_mu = S_(lam*mu)": compose(S, mu) == product,
         "z is invariant": S.images["z"] == ext.nf("z"),
         "t is invariant": S.images["t"] == ext.nf("t"),
     }
-    bad = _first_nonzero(residues)
-    if bad is not None:
-        return CheckResult("gm_action", "torus action on W", "the hyperbolic torus action on W",
-                           "fail", bad)
-    return _bool_check(
+    return _check(
         "gm_action",
         "scaling x -> lam^-1*x, y -> lam^2*y fixes the relation of W and acts as a group",
         "the hyperbolic torus action on W",
-        facts)
+        residues, facts)
 
 
 # trivialization of W away from the cusp fibers
@@ -239,7 +222,7 @@ def check_trivialization() -> CheckResult:
         twisted = lift(fwd[name], ctx2).substitute({"lam": lam_mu}, target=ctx2)
         scaled = ctx2.var("lam") ** WEIGHTS[name] * at_mu[name]
         residues.append(twisted - scaled)
-    return _identity_check(
+    return _check(
         "trivialization",
         "explicit trivialization of W off the cusp fibers, with inverse and equivariance",
         "trivialization of the torus quotient of W",
@@ -251,14 +234,14 @@ def check_normalization(d: Derivation, check_id: str = "normalization") -> Check
     ell = degree_ell(d)
     E = flow(d, "tau")
     S = scaling(d.ring)
-    ctx = d.ring.extend(("tau", "lam"), laurent=frozenset({"lam"})).ctx
+    ctx = d.ring.extend(("tau", "lam")).ctx
     rescaled = specialize(E, {"tau": ctx.var("lam", -ell) * ctx.var("tau")})
     ok = compose(E, S) == compose(S, rescaled)
-    return _bool_check(
+    return _check(
         check_id,
         f"flow normalization against the torus action, degree {ell}",
         "normalization of one-parameter flows by the torus",
-        {"compose(E_tau, S_lam) == compose(S_lam, E_(lam^-ell tau))": ok})
+        facts={"compose(E_tau, S_lam) == compose(S_lam, E_(lam^-ell tau))": ok})
 
 
 def check_lemma_dichotomy(d: Derivation, check_id: str = "lemma_dichotomy") -> CheckResult:
@@ -274,11 +257,11 @@ def check_lemma_dichotomy(d: Derivation, check_id: str = "lemma_dichotomy") -> C
     nu, bottom = kernel_chain(d, RING_B.nf("y"))
     facts[f"kernel chain from y ends after {nu} steps in degree {WEIGHTS['y'] + nu * shift}"] = \
         is_homogeneous(bottom, WEIGHTS["y"] + nu * shift) and d.apply(bottom).is_zero
-    return _bool_check(
+    return _check(
         check_id,
         f"degree {shift} < 0 leaves x=0 invariant and moves y=0",
         "invariance of the fixed-point loci under negative flows",
-        facts)
+        facts=facts)
 
 
 def check_theorem_examples() -> CheckResult:
@@ -297,11 +280,11 @@ def check_theorem_examples() -> CheckResult:
         Ec = flow(conj, "tau")
         facts[f"flow of the conjugate of {a} fixes x"] = \
             Ec.images["x"] == Ec.extended_ring.nf("x")
-    return _bool_check(
+    return _check(
         "theorem_invariance_examples",
         "example derivations and their conjugates never move the first coordinate",
         "Makar-Limanov: no additive action on the cubic moves x",
-        facts)
+        facts=facts)
 
 
 def check_limits_degree_signs() -> CheckResult:
@@ -315,11 +298,11 @@ def check_limits_degree_signs() -> CheckResult:
         for b in range(9) for c in range(3) for dd in range(9))
     facts["normal monomials on F_minus have weight <= 0"] = ok_minus
     facts["normal monomials on F_plus have weight >= 0"] = ok_plus
-    return _bool_check(
+    return _check(
         "limits_degree_signs",
         "degree signs match the existence of torus limits on the two loci",
         "limit behavior of torus orbits along the fixed loci",
-        facts)
+        facts=facts)
 
 
 def check_isotropy_order_two() -> CheckResult:
@@ -336,15 +319,11 @@ def check_isotropy_order_two() -> CheckResult:
         "deck map sends x to -x": sigma.images["x"] == RING_V.nf("-1*x"),
         "deck map is an involution": compose(sigma, sigma) == identity_endomorphism(RING_V),
     }
-    bad = _first_nonzero(residues)
-    if bad is not None:
-        return CheckResult("isotropy_order_two", "slice isotropy",
-                           "isotropy of the slice y=1 inside the torus", "fail", bad)
-    return _bool_check(
+    return _check(
         "isotropy_order_two",
         "the slice y=1 has isotropy of order two, realized by the deck involution",
         "isotropy of the slice y=1 inside the torus",
-        facts)
+        residues, facts)
 
 
 def check_flow_identities() -> CheckResult:
@@ -360,11 +339,11 @@ def check_flow_identities() -> CheckResult:
         summed = specialize(E, {"tau": ctx.var("tau") + ctx.var("sigma")})
         facts[f"{name}: flows compose additively"] = \
             compose(E, flow(d, "sigma")) == summed
-    return _bool_check(
+    return _check(
         "flow_identities",
         "exponential flows form one-parameter groups",
         "one-parameter additive group actions as exponential flows",
-        facts)
+        facts=facts)
 
 
 # -- randomized suites ---------------------------------------------------------
@@ -382,9 +361,9 @@ def _random_poly_ring_axioms(seed: int) -> CheckResult:
         h = random_poly(CTX_XYZT, rng)
         facts[f"triple {i}"] = ((f + g) + h == f + (g + h) and f * g == g * f
                                 and f * (g + h) == f * g + f * h)
-    return _bool_check("random_poly_ring_axioms",
-                       "associativity, commutativity, distributivity on random triples",
-                       "exact polynomial arithmetic", facts)
+    return _check("random_poly_ring_axioms",
+                  "associativity, commutativity, distributivity on random triples",
+                  "exact polynomial arithmetic", facts=facts)
 
 
 def _random_eval_homomorphism(seed: int) -> CheckResult:
@@ -396,9 +375,9 @@ def _random_eval_homomorphism(seed: int) -> CheckResult:
         pt = {name: random_rational(rng) for name in CTX_XYZT.variables}
         facts[f"pair {i}"] = ((f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
                               and (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt))
-    return _bool_check("random_eval_homomorphism",
-                       "evaluation is a ring homomorphism on random pairs",
-                       "exact polynomial arithmetic", facts)
+    return _check("random_eval_homomorphism",
+                  "evaluation is a ring homomorphism on random pairs",
+                  "exact polynomial arithmetic", facts=facts)
 
 
 def _random_substitution_composition(seed: int) -> CheckResult:
@@ -414,9 +393,9 @@ def _random_substitution_composition(seed: int) -> CheckResult:
         fused["z"] = second["z"]
         rhs = f.substitute(fused, target=CTX_XYZT)
         facts[f"composite {i}"] = lhs == rhs
-    return _bool_check("random_substitution_composition",
-                       "substitution composes functorially on random data",
-                       "exact polynomial arithmetic", facts)
+    return _check("random_substitution_composition",
+                  "substitution composes functorially on random data",
+                  "exact polynomial arithmetic", facts=facts)
 
 
 def _random_partial_leibniz(seed: int) -> CheckResult:
@@ -428,9 +407,9 @@ def _random_partial_leibniz(seed: int) -> CheckResult:
         name = rng.choice(CTX_XYZT.variables)
         facts[f"pair {i} d/d{name}"] = \
             (f * g).partial(name) == f.partial(name) * g + f * g.partial(name)
-    return _bool_check("random_partial_leibniz",
-                       "formal partials satisfy the Leibniz rule on random pairs",
-                       "exact polynomial arithmetic", facts)
+    return _check("random_partial_leibniz",
+                  "formal partials satisfy the Leibniz rule on random pairs",
+                  "exact polynomial arithmetic", facts=facts)
 
 
 def _random_nf_soundness(seed: int) -> CheckResult:
@@ -443,9 +422,9 @@ def _random_nf_soundness(seed: int) -> CheckResult:
             prod = ring.nf(f * g)
             facts[f"{ring.name} pair {i} multiplicative"] = prod == ring.nf(f) * ring.nf(g)
             facts[f"{ring.name} pair {i} idempotent"] = ring.reduce(prod.poly) == prod.poly
-    return _bool_check("random_nf_soundness",
-                       "normal forms respect products and are idempotent",
-                       "canonical normal forms in the quotient rings", facts)
+    return _check("random_nf_soundness",
+                  "normal forms respect products and are idempotent",
+                  "canonical normal forms in the quotient rings", facts=facts)
 
 
 def _random_nf_confluence(seed: int) -> CheckResult:
@@ -456,9 +435,9 @@ def _random_nf_confluence(seed: int) -> CheckResult:
             f = random_poly(ring.ctx, rng)
             facts[f"{ring.name} sample {i}"] = \
                 ring.reduce(f, "max") == ring.reduce(f, "first")
-    return _bool_check("random_nf_confluence",
-                       "reduction strategies agree on the normal form",
-                       "canonical normal forms in the quotient rings", facts)
+    return _check("random_nf_confluence",
+                  "reduction strategies agree on the normal form",
+                  "canonical normal forms in the quotient rings", facts=facts)
 
 
 def _random_basis_shape(seed: int) -> CheckResult:
@@ -470,9 +449,9 @@ def _random_basis_shape(seed: int) -> CheckResult:
         a = RING_A.nf(random_poly(RING_A.ctx, rng))
         facts[f"sample {i}"] = all(
             mono[x_at] <= 1 or mono[y_at] == 0 for mono in a.poly.terms)
-    return _bool_check("random_basis_shape",
-                       "normal monomials are at most linear in x once y appears",
-                       "the monomial basis of the coordinate ring", facts)
+    return _check("random_basis_shape",
+                  "normal monomials are at most linear in x once y appears",
+                  "the monomial basis of the coordinate ring", facts=facts)
 
 
 def _random_deg_oracle_agreement(seed: int) -> CheckResult:
@@ -481,9 +460,9 @@ def _random_deg_oracle_agreement(seed: int) -> CheckResult:
     for i in range(40):
         a = random_nonzero_element(RING_A, rng)
         facts[f"sample {i}"] = deg(a) == deg_laurent_oracle(a)
-    return _bool_check("random_deg_oracle_agreement",
-                       "weight degree equals the Laurent vanishing-order oracle",
-                       "the weight filtration of the coordinate ring", facts)
+    return _check("random_deg_oracle_agreement",
+                  "weight degree equals the Laurent vanishing-order oracle",
+                  "the weight filtration of the coordinate ring", facts=facts)
 
 
 def _random_deg_additivity(seed: int) -> CheckResult:
@@ -493,9 +472,9 @@ def _random_deg_additivity(seed: int) -> CheckResult:
         a = random_nonzero_element(RING_A, rng, max_terms=4, max_degree=4)
         b = random_nonzero_element(RING_A, rng, max_terms=4, max_degree=4)
         facts[f"pair {i}"] = deg(a * b) == deg(a) + deg(b)
-    return _bool_check("random_deg_additivity",
-                       "degrees add under multiplication",
-                       "the weight filtration of the coordinate ring", facts)
+    return _check("random_deg_additivity",
+                  "degrees add under multiplication",
+                  "the weight filtration of the coordinate ring", facts=facts)
 
 
 def _random_gr_multiplicative(seed: int) -> CheckResult:
@@ -505,9 +484,9 @@ def _random_gr_multiplicative(seed: int) -> CheckResult:
         a = random_nonzero_element(RING_A, rng, max_terms=4, max_degree=4)
         b = random_nonzero_element(RING_A, rng, max_terms=4, max_degree=4)
         facts[f"pair {i}"] = gr(a * b) == gr(a) * gr(b)
-    return _bool_check("random_gr_multiplicative",
-                       "the top-weight part is multiplicative",
-                       "the associated graded ring of the filtration", facts)
+    return _check("random_gr_multiplicative",
+                  "the top-weight part is multiplicative",
+                  "the associated graded ring of the filtration", facts=facts)
 
 
 def _random_oracle_concordance(seed: int) -> CheckResult:
@@ -526,9 +505,9 @@ def _random_oracle_concordance(seed: int) -> CheckResult:
             for mode in ("qq", "modp"):
                 facts[f"{ring.name} pair {i} mode {mode}"] = \
                     oracle_equal(a, b, samples=15, seed=sub, mode=mode) == truth
-    return _bool_check("random_oracle_concordance",
-                       "sampled evaluation over Q and mod 2^31-1 matches exact equality",
-                       "randomized equality oracles for the quotient rings", facts)
+    return _check("random_oracle_concordance",
+                  "sampled evaluation over Q and mod 2^31-1 matches exact equality",
+                  "randomized equality oracles for the quotient rings", facts=facts)
 
 
 def _random_parser_roundtrip(seed: int) -> CheckResult:
@@ -539,9 +518,9 @@ def _random_parser_roundtrip(seed: int) -> CheckResult:
         ctx = CTX_XYZT if i % 2 == 0 else laurent_ctx
         f = random_poly(ctx, rng)
         facts[f"sample {i}"] = parse(str(f), ctx) == f
-    return _bool_check("random_parser_roundtrip",
-                       "parsing the canonical text form restores the polynomial",
-                       "the expression grammar and canonical printer", facts)
+    return _check("random_parser_roundtrip",
+                  "parsing the canonical text form restores the polynomial",
+                  "the expression grammar and canonical printer", facts=facts)
 
 
 def _random_homogeneous_components(seed: int) -> CheckResult:
@@ -556,9 +535,9 @@ def _random_homogeneous_components(seed: int) -> CheckResult:
             total = total + part
             homogeneous = homogeneous and is_homogeneous(part, n)
         facts[f"sample {i}"] = homogeneous and total == b
-    return _bool_check("random_homogeneous_components",
-                       "weight components are homogeneous and sum back",
-                       "the grading of the degenerate coordinate ring", facts)
+    return _check("random_homogeneous_components",
+                  "weight components are homogeneous and sum back",
+                  "the grading of the degenerate coordinate ring", facts=facts)
 
 
 # -- assembly -------------------------------------------------------------------

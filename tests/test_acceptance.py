@@ -160,7 +160,7 @@ def test_criterion_07_flow_identities():
         delta = induced_graded(ex[name])
         ell = degree_ell(delta)
         E = flow(delta, "tau")
-        ctx = RING_B.extend(("tau", "lam"), laurent=frozenset({"lam"})).ctx
+        ctx = RING_B.extend(("tau", "lam")).ctx
         rescaled = specialize(E, {"tau": ctx.var("lam") ** (-ell) * ctx.var("tau")})
         assert compose(E, S) == compose(S, rescaled)
     minus_one = specialize(S, {"lam": -1})

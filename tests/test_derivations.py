@@ -11,8 +11,8 @@ from russell.derivations import (ANY_DEGREE, CompatibilityError, Derivation,
                                  is_homogeneous_derivation, kernel_chain,
                                  lnd_bounded, make_derivation, make_endomorphism,
                                  scaling, specialize)
-from russell.poly import Poly
-from russell.quotient import RING_A, RING_B, RING_V, RingMismatchError
+from russell.poly import Poly, lift
+from russell.quotient import QuotientRing, RING_A, RING_B, RING_V, RingMismatchError
 from russell.sampling import random_element
 from russell.weights import deg, is_homogeneous
 
@@ -35,6 +35,12 @@ class TestCompatibility:
             make_derivation(RING_A, {"y": "1"})
         assert str(info.value.residue) == "1*x^2"
 
+    def test_multi_term_residue(self):
+        with pytest.raises(CompatibilityError) as info:
+            make_derivation(RING_A, {"y": "z", "t": "y*x"})
+        assert str(info.value) == ("derivation is incompatible with the ring relation; "
+                                   "residue 1*x^2*z + 2*x*y*t")
+
     def test_zero_derivation_is_fine(self):
         d = make_derivation(RING_B, {})
         assert d.is_zero
@@ -55,7 +61,7 @@ class TestApply:
         assert D1.apply(5 * a) == 5 * D1.apply(a)
 
     def test_matches_per_pair_reference_with_laurent_image(self):
-        ring = RING_A.extend(("tau", "lam"), laurent=frozenset({"lam"}))
+        ring = RING_A.extend(("tau", "lam"))
         d = make_derivation(ring, {"y": "-2*t", "t": "x^2",
                                    "lam": "3/2*lam^-2*x + tau", "tau": "lam*z - 1/5"})
         ctx = ring.ctx
@@ -198,6 +204,34 @@ class TestEndomorphisms:
             make_endomorphism(RING_B, (), {"x": "y"})
         assert not info.value.residue.is_zero
 
+    def test_multi_term_residue(self):
+        with pytest.raises(EndomorphismError) as info:
+            make_endomorphism(RING_A, ("tau",), {"x": "x + tau", "z": "z*tau"})
+        assert str(info.value) == (
+            "images do not preserve the ring relation; residue "
+            "2*x*y*tau + 1*y*tau^2 + 1*z^3*tau^3 + -1*z^3 + 1*tau")
+
+    def test_apply_to_parameter_extensions(self):
+        E = flow(D1, "tau")
+        own = E.extended_ring
+        assert E.apply(own.nf("tau*y")) == own.nf("tau") * E.apply("y")
+        both = RING_A.extend(("tau", "lam"))
+        got = E.apply(RING_A.extend(("lam",)).nf("lam^-1*y"))
+        assert got.ring == both
+        assert got == both.nf("lam^-1*y - 2*lam^-1*t*tau - lam^-1*x^2*tau^2")
+
+    def test_apply_rejects_elements_of_another_ring(self):
+        with pytest.raises(RingMismatchError):
+            flow(D1, "tau").apply(RING_B.nf("y"))
+        with pytest.raises(RingMismatchError):
+            flow(D1, "tau").apply(RING_B.extend(("tau",)).nf("y"))
+
+    def test_laurent_parameter_needs_a_laurent_target(self):
+        ctx = RING_A.ctx.extend(("tau",), laurent=("tau",))
+        laurent_tau = QuotientRing("A_tau", ctx, lift(RING_A.relation, ctx), "grlex")
+        with pytest.raises(RingMismatchError):
+            make_derivation(RING_A.extend(("tau",)), {"y": laurent_tau.nf("tau^-1*z")})
+
     def test_apply_parses_strings(self):
         E = flow(D1, "tau")
         assert E.apply("t^2") == E.apply(RING_A.nf("t")) ** 2
@@ -227,7 +261,7 @@ class TestScaling:
 
     def test_group_law(self):
         S = scaling()
-        ctx = RING_B.extend(("lam", "mu"), laurent=frozenset({"lam", "mu"})).ctx
+        ctx = RING_B.extend(("lam", "mu")).ctx
         assert compose(S, scaling(param="mu")) == \
             specialize(S, {"lam": ctx.var("lam") * ctx.var("mu")})
 
@@ -255,7 +289,7 @@ class TestNormalization:
         assert ell == -2
         E = flow(d, "tau")
         S = scaling()
-        ctx = RING_B.extend(("tau", "lam"), laurent=frozenset({"lam"})).ctx
+        ctx = RING_B.extend(("tau", "lam")).ctx
         rescaled = specialize(E, {"tau": ctx.var("lam") ** (-ell) * ctx.var("tau")})
         assert compose(E, S) == compose(S, rescaled)
 

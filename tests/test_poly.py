@@ -144,7 +144,7 @@ def test_context_extend():
 
 # -- the fraction-free multiply kernel -------------------------------------------
 
-A_TAU_LAM = RING_A.extend(("tau", "lam"), laurent=frozenset({"lam"})).ctx
+A_TAU_LAM = RING_A.extend(("tau", "lam")).ctx
 
 
 def schoolbook_product(f: Poly, g: Poly) -> Poly:

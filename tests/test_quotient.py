@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from russell.poly import Context
+from russell.derivations import example_derivations, flow
+from russell.poly import Context, lift
 from russell.quotient import (CTX_XYZT, ORACLE_PRIME, RING_A, RING_B, RING_NEIL, RING_V,
                               QuotientRing, RingElement, RingMismatchError, _evaluate_mod,
                               oracle_equal, random_point, ring_by_name, surface_point)
@@ -59,8 +60,8 @@ def test_nf_is_ring_homomorphism():
 def test_reduction_strategies_agree():
     rng = random.Random(17)
     rings = (RING_A, RING_B, RING_V, RING_NEIL,
-             RING_A.extend(("tau", "lam"), laurent=frozenset({"lam"})),
-             RING_B.extend(("lam", "mu"), laurent=frozenset({"lam", "mu"})))
+             RING_A.extend(("tau", "lam")),
+             RING_B.extend(("lam", "mu")))
     for ring in rings:
         for _ in range(40):
             f = random_poly(ring.ctx, rng)
@@ -159,12 +160,31 @@ def test_extend_caches_and_names():
     assert ext.name == "A[tau]"
     assert ext.ctx.variables == ("x", "y", "z", "t", "tau")
     assert RING_A.extend(()) is RING_A
-    lam = RING_B.extend(("lam",), laurent=frozenset({"lam"}))
+    lam = RING_B.extend(("lam",))
     assert lam.ctx.is_laurent("lam")
 
 
+def test_extend_orders_parameters_and_flags_laurent():
+    ext = RING_A.extend(("lam", "tau"))
+    assert ext is RING_A.extend(("tau", "lam"))
+    assert ext.ctx.variables == ("x", "y", "z", "t", "tau", "lam")
+    assert ext.ctx.laurent == frozenset({"lam"})
+    assert RING_A.extend(("zeta", "mu", "beta", "s")).ctx.variables[4:] == ("s", "mu", "beta", "zeta")
+
+
+def test_extension_cache_is_keyed_by_ring_not_name():
+    x, t = CTX_XYZT.var("x"), CTX_XYZT.var("t")
+    namesake = QuotientRing("A", CTX_XYZT, x**3 + t, "grlex")
+    ext = namesake.extend(("tau",))
+    assert ext.relation == lift(namesake.relation, ext.ctx)
+    assert ext != RING_A.extend(("tau",))
+    assert RING_A.extend(("tau",)).relation == lift(RING_A.relation, ext.ctx)
+    d1 = example_derivations()["d1"]
+    assert str(flow(d1).images["y"]) == "-1*x^2*tau^2 + 1*y + -2*t*tau"
+
+
 def test_reduction_with_laurent_parameters():
-    ext = RING_A.extend(("lam",), laurent=frozenset({"lam"}))
+    ext = RING_A.extend(("lam",))
     got = ext.nf("lam^-2*x^2*y")
     want = ext.nf("lam^-2") * ext.nf("-1*x + -1*z^3 + -1*t^2")
     assert got == want

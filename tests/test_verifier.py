@@ -2,7 +2,8 @@ import json
 
 from russell.parse import parse
 from russell.poly import Context
-from russell.verifier import (CheckResult, all_passed, format_report,
+from russell.quotient import RING_A
+from russell.verifier import (CheckResult, _check, all_passed, format_report,
                               report_to_json, run_all)
 
 EXPECTED_IDS = [
@@ -100,3 +101,15 @@ def test_all_passed_detects_failures():
     assert all_passed([good])
     assert not all_passed([good, bad])
     assert bad.to_json() == {"id": "b", "paper_ref": "r", "status": "fail", "witness": "1*x"}
+
+
+def test_check_outcomes():
+    zero, x = RING_A.zero(), RING_A.nf("x")
+    facts = {"a holds": False, "b holds": True, "c holds": False}
+    first = _check("c", "d", "r", residues=[zero, BLOWUP_CTX.var("u") * 2, x], facts=facts)
+    assert first == CheckResult("c", "d", "r", "fail", "2*u")
+    joined = _check("c", "d", "r", residues=[zero], facts=facts)
+    assert joined == CheckResult("c", "d", "r", "fail", "a holds; c holds")
+    assert _check("c", "d", "r", residues=[zero], facts={"b holds": True}) == \
+        CheckResult("c", "d", "r", "pass", "0")
+    assert _check("c", "d", "r") == CheckResult("c", "d", "r", "pass", "0")
