@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .poly import Context, Poly, lift
+from .poly import Context, Poly, dot, lift
 from .quotient import (CTX_XZT, QuotientRing, RING_A, RING_B, RING_V,
                        RingElement, RingMismatchError, ring_by_name)
 from .weights import WEIGHTS, deg, is_homogeneous, weight_components
@@ -93,7 +93,7 @@ class Derivation:
         ring = self.ring
         ctx = ring.ctx
         terms = _as_poly(a, ring).terms
-        total = ctx.zero()
+        pairs = []
         for i, name in enumerate(ctx.variables):
             img = self.images[name]
             if img.is_zero:
@@ -101,9 +101,8 @@ class Derivation:
             # d(m) for the i-th factor: e * m / v_i, also for negative Laurent e
             shifted = {mono[:i] + (mono[i] - 1,) + mono[i + 1:]: coeff * mono[i]
                        for mono, coeff in terms.items() if mono[i]}
-            if shifted:
-                total = total + Poly._make(ctx, shifted) * img.poly
-        return ring.nf(total)
+            pairs.append((Poly._make(ctx, shifted), img.poly))
+        return ring.nf(dot(ctx, pairs))
 
     __call__ = apply
 
@@ -351,15 +350,15 @@ def flow(d: Derivation, param: str = "tau", bound: int = 32) -> RingEndomorphism
     characteristic zero.
     """
     ring = d.ring
-    ext = ring.extend((param,))
-    tau = ext.ctx.var(param)
+    ctx = ring.extend((param,)).ctx
     images = {}
     for name in ring.ctx.variables:
         orbit = _orbit(d, ring.nf(ring.ctx.var(name)), bound)
         if orbit is None:
             raise ValueError(f"flow needs local nilpotency certified within bound {bound}")
-        images[name] = sum((lift(g.poly, ext.ctx) * tau ** k * Fraction(1, factorial(k))
-                            for k, g in enumerate(orbit)), ext.ctx.zero())
+        images[name] = dot(ctx, [(lift(g.poly, ctx),
+                                  ctx.monomial(Fraction(1, factorial(k)), **{param: k}))
+                                 for k, g in enumerate(orbit)])
     return make_endomorphism(ring, (param,), images)
 
 

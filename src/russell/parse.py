@@ -96,12 +96,19 @@ class _Parser:
         return kind == "op" and value in ops
 
     def parse_expr(self) -> Poly:
-        node = self.parse_term()
+        # one running sum, updated in place: a new Poly per "+" would copy
+        # every term so far, and parsing would be quadratic in the term count
+        total = dict(self.parse_term().terms)
         while self.at_op("+", "-"):
             _, op, _ = self.advance()
-            rhs = self.parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            sign = 1 if op == "+" else -1
+            for mono, coeff in self.parse_term().terms.items():
+                s = total.get(mono, 0) + sign * coeff
+                if s:
+                    total[mono] = s
+                else:
+                    del total[mono]
+        return Poly._make(self.ctx, total)
 
     def parse_term(self) -> Poly:
         node = self.parse_factor()

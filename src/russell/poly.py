@@ -13,14 +13,22 @@ prints every term as ``coefficient*factors``:
 
 ``parse`` in :mod:`russell.parse` inverts this exactly.
 
-Products are computed fraction-free.  Each factor is written once as integer
-numerators over the lcm of its coefficient denominators; the double loop then
-multiplies and adds plain ints, and each nonzero output coefficient becomes
-one Fraction over the product of the two denominators.  This keeps the gcd
-work of Fraction arithmetic out of the inner loop, as Monagan and Pearce do
-for polynomial division (CASC 2007), while the result stays exact.  Powers,
-substitutions, ring-element products and derivations all multiply through
-this one kernel.
+Multiplication has one kernel, ``dot``: a sum of products sum f*g over a
+list of pairs, computed fraction-free.  Each factor is written once as integer
+numerators over the lcm of its coefficient denominators, each pair is scaled
+to the lcm of all the pair denominators, and one double loop per pair then
+multiplies and adds plain ints into one accumulator; each nonzero output
+coefficient becomes one Fraction at the end.  This keeps the gcd work of
+Fraction arithmetic out of the inner loop, as Monagan and Pearce do for
+polynomial division (CASC 2007), while the result stays exact.  A product is
+the one-pair case, and powers, substitutions, ring-element products, Leibniz
+sums of derivations and flows all go through this kernel, each sum in one
+call rather than one product per term.
+
+``substitute`` moves a variable whose image has one term (or which it leaves
+unbound) by exponent arithmetic alone.  It builds each needed power of a
+multi-term image once, incrementally, groups the terms by their exponents on
+those variables, and sums the groups times their powers in one ``dot`` call.
 """
 
 from __future__ import annotations
@@ -172,16 +180,7 @@ class Poly:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        fden, fnums = _over_common_denominator(self.terms)
-        gden, gnums = _over_common_denominator(g.terms)
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for m1, a in fnums:
-            for m2, b in gnums:
-                mono = tuple(map(add, m1, m2))
-                acc[mono] = get(mono, 0) + a * b
-        den = fden * gden
-        return Poly._make(self.ctx, {m: Fraction(c, den) for m, c in acc.items() if c})
+        return dot(self.ctx, ((self, g),))
 
     __rmul__ = __mul__
 
@@ -208,33 +207,68 @@ class Poly:
             self.ctx.index(name)
             if img.ctx != target:
                 raise ValueError(f"image of {name!r} lives in a different context")
-        cache: dict[tuple[str, int], Poly] = {}
+        names = self.ctx.variables
 
-        def image_power(name: str, e: int) -> Poly:
-            key = (name, e)
-            got = cache.get(key)
-            if got is None:
-                img = imgs.get(name)
-                if img is None:
-                    img = target.var(name)
-                    imgs[name] = img
-                got = img ** e
-                cache[key] = got
-            return got
+        def move(i: int, negative: bool):
+            """How v^e moves, for the i-th variable v and e of the given sign:
+            None when v maps to zero, the image when it has several terms,
+            else ([(target index, exponent)], coefficient) of its one term,
+            or of the inverse of that term when e < 0."""
+            img = imgs.get(names[i])
+            if img is None:
+                img = target.var(names[i])
+            if negative:
+                img = invert_unit(img)
+            if img.is_zero:
+                return None
+            if len(img.terms) > 1:
+                powers[i] = [img]
+                return img
+            ((m, c),) = img.terms.items()
+            return [(j, a) for j, a in enumerate(m) if a], c
 
-        out: dict[tuple[int, ...], Fraction] = {}
+        moves: dict[tuple[int, bool], object] = {}
+        powers: dict[int, list[Poly]] = {}  # i -> [image, image^2, ...], as needed
+        # the (i, e) of a term's multi-term images -> the sum of its other factors, moved
+        groups: dict[tuple[tuple[int, int], ...], dict[tuple[int, ...], Fraction]] = {}
+        width = len(target.variables)
         for mono, coeff in self.terms.items():
-            acc = target.one()
-            for name, e in zip(self.ctx.variables, mono):
-                if e:
-                    acc = acc * image_power(name, e)
-            for m, c in acc.terms.items():
-                s = out.get(m, 0) + coeff * c
-                if s:
-                    out[m] = s
+            exps = [0] * width
+            key = []
+            vanishes = False
+            for i, e in enumerate(mono):
+                if not e:
+                    continue
+                negative = e < 0
+                if (i, negative) not in moves:
+                    moves[i, negative] = move(i, negative)
+                how = moves[i, negative]
+                if how is None:
+                    vanishes = True  # but keep moving, so that errors still surface
+                elif isinstance(how, Poly):
+                    key.append((i, e))
                 else:
-                    out.pop(m, None)
-        return Poly._make(target, out)
+                    m, c = how
+                    k = abs(e)
+                    for j, a in m:
+                        exps[j] += a * k
+                    if c != 1:
+                        coeff = coeff * c ** k
+            if not vanishes:
+                group = groups.setdefault(tuple(key), {})
+                m = tuple(exps)
+                group[m] = group.get(m, 0) + coeff
+        one = target.one()
+        pairs = []
+        for key, group in groups.items():
+            factor = one
+            for i, e in key:
+                pw = powers[i]
+                while len(pw) < e:
+                    pw.append(pw[-1] * pw[0])
+                factor = pw[e - 1] if factor is one else factor * pw[e - 1]
+            pairs.append((Poly._make(target, {m: c for m, c in group.items() if c}), factor))
+        return dot(target, pairs)
 
     def partial(self, name: str) -> "Poly":
         """Formal partial derivative; the variable must not be Laurent."""
@@ -309,6 +343,38 @@ def _over_common_denominator(terms: Mapping[tuple[int, ...], Fraction]):
     """(D, [(mono, c*D)]) with D the lcm of the coefficient denominators."""
     den = lcm(*(c.denominator for c in terms.values()))
     return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
+
+
+def dot(ctx: Context, pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """The sum of f*g over the pairs, all over ctx: the one multiply kernel.
+
+    Each factor is written as int numerators over its own common denominator
+    and each pair is scaled to the lcm D of the pair denominators, so one
+    int accumulator takes every product; each nonzero output coefficient
+    then becomes one Fraction over D.
+    """
+    scaled = []
+    den = 1
+    for f, g in pairs:
+        if f.ctx is not ctx and f.ctx != ctx or g.ctx is not ctx and g.ctx != ctx:
+            raise ValueError(f"mixed contexts: {f.ctx.variables} and {g.ctx.variables} "
+                             f"summed over {ctx.variables}")
+        if f.terms and g.terms:
+            fden, fnums = _over_common_denominator(f.terms)
+            gden, gnums = _over_common_denominator(g.terms)
+            scaled.append((fden * gden, fnums, gnums))
+            den = lcm(den, fden * gden)
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for pden, fnums, gnums in scaled:
+        scale = den // pden
+        if scale != 1:
+            fnums = [(m, a * scale) for m, a in fnums]
+        for m1, a in fnums:
+            for m2, b in gnums:
+                mono = tuple(map(add, m1, m2))
+                acc[mono] = get(mono, 0) + a * b
+    return Poly._make(ctx, {m: Fraction(c, den) for m, c in acc.items() if c})
 
 
 def binary_power(base, n: int, one):

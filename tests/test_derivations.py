@@ -13,7 +13,7 @@ from russell.derivations import (ANY_DEGREE, CompatibilityError, Derivation,
                                  scaling, specialize)
 from russell.poly import Poly, lift
 from russell.quotient import QuotientRing, RING_A, RING_B, RING_V, RingMismatchError
-from russell.sampling import random_element
+from russell.sampling import random_element, random_poly
 from russell.weights import deg, is_homogeneous
 
 D1 = example_derivations()["d1"]  # y -> -2t, t -> x^2
@@ -423,3 +423,64 @@ class TestSerialization:
         data = dict(derivation_to_json(D1), dy=value)
         with pytest.raises(ValueError, match="derivation image 'dy' must be a string"):
             derivation_from_json(data)
+
+
+# -- an independent route: sympy differentiates and reduces ----------------------
+
+# d1, d2 and kernel multiples a(x, z)*d1 and a(x, t)*d2, which stay locally nilpotent
+SYMPY_CASES = (("d1", "1"), ("d2", "1"), ("d1", "1 + x*z"), ("d1", "x^2 - 1/2*z^2"),
+               ("d2", "3 + x*t"), ("d2", "x - 2/3*t^2"))
+
+
+def _multiple(base: str, text: str):
+    a = RING_A.nf(text).poly
+    images = example_derivations()[base].images
+    return make_derivation(RING_A, {v: a * img.poly for v, img in images.items()})
+
+
+@pytest.fixture(scope="module")
+def sympy_route():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z t tau")
+
+    def to_sympy(f: Poly):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(g**e for g, e in zip(gens, mono))))
+                   for mono, c in f.terms.items())
+
+    relation = to_sympy(RING_A.relation)
+
+    def apply(d, expr):
+        """sum_v d(v) * d expr / dv, reduced by the relation of A."""
+        image = sum((sympy.diff(expr, v) * to_sympy(d.images[str(v)].poly)
+                     for v in gens[:4]), sympy.Integer(0))
+        return sympy.reduced(sympy.expand(image), [relation], *gens, order="grlex")[1]
+
+    return sympy, to_sympy, apply
+
+
+@pytest.mark.parametrize("base,multiplier", SYMPY_CASES)
+def test_apply_agrees_with_sympy(base, multiplier, sympy_route):
+    sympy, to_sympy, apply = sympy_route
+    d = _multiple(base, multiplier)
+    rng = random.Random(47)
+    for _ in range(6):
+        f = random_poly(RING_A.ctx, rng, max_terms=5, max_degree=4)
+        assert sympy.expand(apply(d, to_sympy(f)) - to_sympy(d.apply(f).poly)) == 0
+
+
+@pytest.mark.parametrize("base,multiplier", SYMPY_CASES)
+def test_flow_agrees_with_truncated_exponential_in_sympy(base, multiplier, sympy_route):
+    sympy, to_sympy, apply = sympy_route
+    d = _multiple(base, multiplier)
+    tau = sympy.Symbol("tau")
+    e = flow(d, "tau")
+    assert e.extended_ring.ctx.variables == ("x", "y", "z", "t", "tau")
+    for g in RING_A.ctx.variables:
+        # sum over k of tau^k / k! * d^k(g), iterating d in sympy until zero
+        term, total, k = sympy.Symbol(g), sympy.Integer(0), 0
+        while term != 0:
+            total += tau**k / sympy.factorial(k) * term
+            term, k = apply(d, term), k + 1
+            assert k <= 32
+        assert sympy.expand(total - to_sympy(e.images[g].poly)) == 0

@@ -3,7 +3,8 @@
 Performance work must leave every output byte-identical: the verifier report,
 the normal forms printed by ``russell nf --json``, and the ``--json`` output
 and exit code of the derivation commands ``lnd``, ``flow``, ``induce`` and
-``kernel-chain``.  The digests below are SHA-256 hashes of those exact texts;
+``kernel-chain``, and the texts of one generated chain through ``conjugate``
+and a specialization.  The digests below are SHA-256 hashes of those exact texts;
 a change to any normal form, to the canonical print order, or to the report
 layout changes them.
 
@@ -15,10 +16,15 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from russell.cli import main
+from russell.derivations import (conjugate, example_derivations, flow, induced_graded,
+                                 kernel_chain, lnd_bounded, make_derivation)
+from russell.parse import parse
+from russell.quotient import RING_A
 from russell.verifier import report_to_json, run_all
 
 REPORT_DIGEST = "67a6d29e745c4f5f7414c8bbbc55ba018f719a5fe95c436de94547f2a672e381"
@@ -108,3 +114,33 @@ def test_derivation_json_digest(name, command, tmp_path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert (code, _sha256(out.getvalue())) == DERIVATION_DIGESTS[name, command]
+
+
+# (x + x^2*z)*d1 conjugated by the flow of (1/2 + x)*d2 in s, then s = 3/2
+CHAIN_DIGEST = "92eca5a38a2d49c7af9ed6351675e4395e433ec11019872a1411fbd111cdba96"
+
+
+def _chain_text() -> str:
+    ctx = RING_A.ctx
+    examples = example_derivations()
+    a, b = parse("x + x^2*z", ctx), parse("1/2 + x", ctx)
+    D = make_derivation(RING_A, {v: a * img.poly for v, img in examples["d1"].images.items()})
+    E = make_derivation(RING_A, {v: b * img.poly for v, img in examples["d2"].images.items()})
+    C = conjugate(D, flow(E, "s"))
+    at = {"s": ctx.const(Fraction(3, 2))}
+    d = make_derivation(RING_A, {v: C.images[v].poly.substitute(at, target=ctx)
+                                 for v in ctx.variables})
+    delta = induced_graded(d)
+    nu, bottom = kernel_chain(delta, "y")
+    return json.dumps({
+        "conjugate": {v: str(img) for v, img in C.images.items()},
+        "specialized": {v: str(img) for v, img in d.images.items()},
+        "lnd": lnd_bounded(d).to_json(),
+        "flow": {v: str(img) for v, img in flow(d, "tau").images.items()},
+        "induced": {v: str(img) for v, img in delta.images.items()},
+        "kernel_chain": [nu, str(bottom)],
+    }, indent=2, sort_keys=True)
+
+
+def test_generated_chain_digest():
+    assert _sha256(_chain_text()) == CHAIN_DIGEST

@@ -38,6 +38,18 @@ def test_unary_minus_nests():
     assert p("2 - -3") == 5
 
 
+def test_running_sum_cancels_and_keeps_signs():
+    x, y, z = (CTX_XYZT.var(n) for n in "xyz")
+    assert p("x - x + y") == y
+    assert p("x - x + y").terms == {(0, 1, 0, 0): Fraction(1)}
+    assert p("x - x").terms == {}
+    assert p("-x + y") == y - x
+    assert p("-x - y + 2*x") == x - y
+    assert p("x - (y - z)") == x - y + z
+    assert p("x - (y - z) - (x + z)") == -y
+    assert p("1/2*x + 1/3*x - 5/6*x + 7") == 7
+
+
 def test_laurent_exponents():
     assert p("x^-2", LCTX) == LCTX.var("x", -2)
     assert p("3/2*lam^-1*x", LCTX) == Fraction(3, 2) * LCTX.var("lam", -1) * LCTX.var("x")

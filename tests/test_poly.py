@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from russell.poly import Context, Poly, invert_unit, lift
+from russell.poly import Context, Poly, dot, invert_unit, lift
 from russell.quotient import CTX_XYZT, RING_A
-from russell.sampling import random_poly
+from russell.sampling import random_poly, random_rational
 
 XY = Context(("x", "y"))
 LX = Context(("x", "y"), laurent=frozenset({"x"}))
@@ -212,3 +212,162 @@ def test_product_coerces_int_and_fraction_on_both_sides():
     assert f * third == third * f == Fraction(1, 2) * x - third * y + third
     for prod in (2 * f, f * third, third * f, f * 0):
         assert_clean(prod)
+
+
+# -- the sum-of-products kernel and substitution through it ----------------------
+
+def test_dot_matches_sum_of_schoolbook_products():
+    rng = random.Random(41)
+    for ctx in (CTX_XYZT, A_TAU_LAM):
+        for _ in range(40):
+            pairs = [(random_poly(ctx, rng, max_terms=6, coeff_bound=50),
+                      random_poly(ctx, rng, max_terms=6, coeff_bound=50))
+                     for _ in range(rng.randint(1, 4))]
+            total = dot(ctx, pairs)
+            assert total == sum((schoolbook_product(f, g) for f, g in pairs), ctx.zero())
+            assert_clean(total)
+
+
+def test_dot_of_no_pairs_and_of_zero_factors():
+    x = CTX_XYZT.var("x")
+    assert dot(CTX_XYZT, []).terms == {}
+    zero = CTX_XYZT.zero()
+    assert dot(CTX_XYZT, [(zero, x + 1), (x - 1, zero), (zero, zero)]).terms == {}
+    assert dot(CTX_XYZT, [(zero, x), (x, x + Fraction(1, 3))]) == x**2 + Fraction(1, 3) * x
+
+
+def test_dot_cancels_across_pairs():
+    x, y = CTX_XYZT.var("x"), CTX_XYZT.var("y")
+    f, g = Fraction(2, 3) * x + y, x - Fraction(1, 5) * y
+    assert dot(CTX_XYZT, [(f, g), (-f, g)]).terms == {}
+    total = dot(CTX_XYZT, [(x, y), (y, -x), (Fraction(1, 7) * y, y)])
+    assert total.terms == {(0, 2, 0, 0): Fraction(1, 7)}
+    assert_clean(total)
+
+
+def test_dot_mixed_denominators():
+    x, y = CTX_XYZT.var("x"), CTX_XYZT.var("y")
+    pairs = [(Fraction(1, 6) * x + Fraction(5, 4), Fraction(3, 10) * y - 1),
+             (Fraction(7, 9) * x, Fraction(2, 35) * y + Fraction(1, 1024)),
+             (CTX_XYZT.const(Fraction(-1, 8)), Fraction(4, 3) * x * y)]
+    total = dot(CTX_XYZT, pairs)
+    assert total == sum((schoolbook_product(f, g) for f, g in pairs), CTX_XYZT.zero())
+    assert total.terms[(1, 1, 0, 0)] == (Fraction(1, 20) + Fraction(14, 315)
+                                         - Fraction(1, 6))
+    assert_clean(total)
+
+
+def test_dot_rejects_mixed_contexts():
+    with pytest.raises(ValueError, match="mixed contexts"):
+        dot(CTX_XYZT, [(XY.var("x"), XY.var("y"))])
+
+
+def schoolbook_substitute(f: Poly, bindings: dict, target: Context) -> Poly:
+    """Reference substitution: each term's image as a chain of schoolbook
+    products, one factor of the image (or of its inverse) at a time."""
+    out = target.zero()
+    for mono, coeff in f.terms.items():
+        acc = target.const(coeff)
+        for name, e in zip(f.ctx.variables, mono):
+            if e:
+                img = bindings[name] if name in bindings else target.var(name)
+                base = img if e > 0 else invert_unit(img)
+                for _ in range(abs(e)):
+                    acc = schoolbook_product(acc, base)
+        out = out + acc
+    return out
+
+
+# x, y, z, t and u, v in another order, u Laurent: a wider target to re-key into
+WIDE = Context(("v", "t", "u", "z", "y", "x"), laurent=frozenset({"u"}))
+# the Laurent variables of A[tau, lam] and one more, first
+WIDE_LAURENT = Context(("lam", "mu", "x", "y", "z", "t", "tau"),
+                       laurent=frozenset({"lam", "mu"}))
+BINDING_KINDS = ("unbound", "zero", "constant", "one-term", "multi-term")
+
+
+def _random_binding(kind: str, target: Context, rng: random.Random):
+    if kind == "zero":
+        return target.zero()
+    if kind == "constant":
+        return target.const(random_rational(rng) or 1)
+    if kind == "one-term":
+        while True:
+            img = random_poly(target, rng, max_terms=1, max_degree=3)
+            if len(img.terms) == 1:
+                return img
+    while True:
+        img = random_poly(target, rng, max_terms=4, max_degree=3)
+        if len(img.terms) > 1:
+            return img
+
+
+def _random_unit(target: Context, rng: random.Random) -> Poly:
+    """A unit monomial: a nonzero constant times powers of Laurent variables."""
+    powers = {name: rng.randint(-2, 2) for name in sorted(target.laurent)}
+    return target.monomial(random_rational(rng) or Fraction(1, 2), **powers)
+
+
+@pytest.mark.parametrize("source,target", [(CTX_XYZT, CTX_XYZT), (CTX_XYZT, WIDE),
+                                           (A_TAU_LAM, A_TAU_LAM),
+                                           (A_TAU_LAM, WIDE_LAURENT)],
+                         ids=["xyzt", "xyzt->wide", "A[tau,lam]", "A[tau,lam]->wide"])
+def test_substitute_matches_schoolbook_reference(source, target):
+    rng = random.Random(43)
+    kinds_seen = set()
+    for _ in range(40):
+        f = random_poly(source, rng, max_terms=6, max_degree=5)
+        bindings = {}
+        for name in source.variables:
+            if source.is_laurent(name):
+                # negative exponents need a unit monomial, or lam unbound
+                kind = rng.choice(("unbound", "constant", "unit"))
+                if kind == "unit":
+                    bindings[name] = _random_unit(target, rng)
+                elif kind == "constant":
+                    bindings[name] = _random_binding(kind, target, rng)
+            else:
+                kind = rng.choice(BINDING_KINDS)
+                if kind != "unbound":
+                    bindings[name] = _random_binding(kind, target, rng)
+            kinds_seen.add(kind)
+        image = f.substitute(bindings, target=target)
+        assert image == schoolbook_substitute(f, bindings, target)
+        assert image.ctx == target
+        assert_clean(image)
+    assert kinds_seen >= set(BINDING_KINDS)
+    assert ("unit" in kinds_seen) == bool(source.laurent)
+
+
+def test_substitute_powers_of_one_multi_term_image():
+    x, y = CTX_XYZT.var("x"), CTX_XYZT.var("y")
+    f = x**5 * y + Fraction(1, 2) * x**2 + 3 * x * y**2 + x**5
+    bindings = {"x": y + Fraction(1, 3), "y": Fraction(1, 2) * x - y}
+    image = f.substitute(bindings)
+    assert image == schoolbook_substitute(f, bindings, CTX_XYZT)
+    assert_clean(image)
+
+
+L_SUB = Context(("x", "y", "lam"), laurent=frozenset({"x", "lam"}))
+
+
+def test_substitute_error_for_negative_exponent_on_multi_term_image():
+    with pytest.raises(ValueError) as err:
+        L_SUB.var("x", -2).substitute({"x": L_SUB.var("y") + L_SUB.var("lam")}, target=L_SUB)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "cannot invert non-monomial 1*y + 1*lam"
+
+
+def test_substitute_error_for_negative_exponent_on_non_laurent_monomial():
+    with pytest.raises(ValueError) as err:
+        L_SUB.var("x", -1).substitute({"x": L_SUB.var("y")}, target=L_SUB)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "cannot invert monomial with non-Laurent variable 'y'"
+
+
+def test_substitute_error_for_unbound_variable_missing_from_target():
+    xz = Context(("x", "z"))
+    with pytest.raises(ValueError) as err:
+        CTX_XYZT.var("y").substitute({"x": xz.var("z")}, target=xz)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "unknown variable 'y' in context ('x', 'z')"
