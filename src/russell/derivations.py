@@ -91,18 +91,9 @@ class Derivation:
         """Leibniz extension to a ring element, reduced to normal form.  A
         polynomial is differentiated as it stands, before any reduction."""
         ring = self.ring
-        ctx = ring.ctx
-        terms = _as_poly(a, ring).terms
-        pairs = []
-        for i, name in enumerate(ctx.variables):
-            img = self.images[name]
-            if img.is_zero:
-                continue
-            # d(m) for the i-th factor: e * m / v_i, also for negative Laurent e
-            shifted = {mono[:i] + (mono[i] - 1,) + mono[i + 1:]: coeff * mono[i]
-                       for mono, coeff in terms.items() if mono[i]}
-            pairs.append((Poly._make(ctx, shifted), img.poly))
-        return ring.nf(dot(ctx, pairs))
+        f = _as_poly(a, ring)
+        return ring.nf(dot(ring.ctx, [(f.partial(v), img.poly)
+                                      for v, img in self.images.items() if not img.is_zero]))
 
     __call__ = apply
 
@@ -320,7 +311,9 @@ def compose(e1: RingEndomorphism, e2: RingEndomorphism) -> RingEndomorphism:
 
 
 def specialize(e: RingEndomorphism, bindings: Mapping[str, object]) -> RingEndomorphism:
-    """Substitute polynomials (or scalars) for formal parameters of the map."""
+    """Substitute polynomials (or scalars) for formal parameters of the map.
+    A ring element must come from the map's ring or a parameter extension
+    of it."""
     polys: dict[str, Poly] = {}
     extra: set[str] = set()
     for name, value in bindings.items():
@@ -329,7 +322,7 @@ def specialize(e: RingEndomorphism, bindings: Mapping[str, object]) -> RingEndom
         if isinstance(value, (int, Fraction)):
             value = e.ring.ctx.const(value)
         elif isinstance(value, RingElement):
-            value = value.poly
+            value = _as_poly(value, e.ring.extend(value.ring.ctx.variables))
         if not isinstance(value, Poly):
             raise TypeError(f"cannot bind parameter {name!r} to {value!r}")
         polys[name] = value

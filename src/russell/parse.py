@@ -124,10 +124,10 @@ class _Parser:
         return self.parse_power()
 
     def parse_power(self) -> Poly:
-        base, varname = self.parse_atom()
+        atom = self.parse_atom()
         if not self.at_op("^"):
-            return base
-        _, _, caret_at = self.advance()
+            return self.ctx.var(atom) if isinstance(atom, str) else atom
+        self.advance()
         sign = 1
         if self.at_op("-"):
             self.advance()
@@ -137,16 +137,16 @@ class _Parser:
             raise ParseError("expected an integer exponent", at)
         self.advance()
         exponent = sign * int(digits)
+        if isinstance(atom, str):
+            if exponent < 0 and not self.ctx.is_laurent(atom):
+                raise ParseError(f"negative exponent on non-Laurent variable {atom!r}", at)
+            return self.ctx.var(atom, exponent)
         if exponent < 0:
-            if varname is None:
-                raise ParseError("negative exponent is only allowed on a Laurent variable", at)
-            if not self.ctx.is_laurent(varname):
-                raise ParseError(f"negative exponent on non-Laurent variable {varname!r}", at)
-        if varname is not None:
-            return self.ctx.var(varname, exponent)
-        return base ** exponent
+            raise ParseError("negative exponent is only allowed on a Laurent variable", at)
+        return atom ** exponent
 
-    def parse_atom(self) -> tuple[Poly, str | None]:
+    def parse_atom(self) -> Poly | str:
+        """A variable as its name, so that a power builds it once; else a Poly."""
         kind, value, at = self.peek()
         if kind == "int":
             self.advance()
@@ -159,18 +159,18 @@ class _Parser:
                 self.advance()
                 if int(dvalue) == 0:
                     raise ParseError("zero denominator in rational literal", dat)
-                return self.ctx.const(Fraction(num, int(dvalue))), None
-            return self.ctx.const(num), None
+                return self.ctx.const(Fraction(num, int(dvalue)))
+            return self.ctx.const(num)
         if kind == "ident":
             self.advance()
             if value not in self.ctx.variables:
                 raise ParseError(f"unknown variable {value!r}", at)
-            return self.ctx.var(value), value
+            return value
         if kind == "op" and value == "(":
             self.advance()
             inner = self.parse_expr()
             self.expect_op(")")
-            return inner, None
+            return inner
         raise ParseError("expected a number, variable, or parenthesized expression", at)
 
 

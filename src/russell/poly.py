@@ -29,6 +29,11 @@ call rather than one product per term.
 unbound) by exponent arithmetic alone.  It builds each needed power of a
 multi-term image once, incrementally, groups the terms by their exponents on
 those variables, and sums the groups times their powers in one ``dot`` call.
+
+``partial`` is the one formal derivative, Laurent variables included, and
+``graded`` the one split into weight components.  Exponent tuples are read
+only here and in :mod:`russell.quotient`; elsewhere ``.terms``, the map from
+exponent tuple to Fraction, is the public read-only view.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping
 
 
@@ -271,22 +276,22 @@ class Poly:
         return dot(target, pairs)
 
     def partial(self, name: str) -> "Poly":
-        """Formal partial derivative; the variable must not be Laurent."""
-        if self.ctx.is_laurent(name):
-            raise ValueError(f"partial with respect to Laurent variable {name!r} is not supported")
+        """Formal partial derivative: e*m/v for each term m with exponent e
+        on v, also for a Laurent v and e < 0.  m -> m/v is injective, so no
+        two terms meet and no sum is needed."""
         i = self.ctx.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
+        return Poly._make(self.ctx, {mono[:i] + (mono[i] - 1,) + mono[i + 1:]: coeff * mono[i]
+                                     for mono, coeff in self.terms.items() if mono[i]})
+
+    def graded(self, weights: Mapping[str, int]) -> dict[int, "Poly"]:
+        """The weight-homogeneous components, keyed by weight, where a
+        monomial weighs the sum of weights[v]*e over its variables (0 for a
+        variable the map leaves out); no key for a weight without terms."""
+        w = [weights.get(name, 0) for name in self.ctx.variables]
+        parts: dict[int, dict[tuple[int, ...], Fraction]] = {}
         for mono, coeff in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            dm = mono[:i] + (e - 1,) + mono[i + 1:]
-            s = out.get(dm, 0) + coeff * e
-            if s:
-                out[dm] = s
-            else:
-                out.pop(dm, None)
-        return Poly._make(self.ctx, out)
+            parts.setdefault(sum(map(mul, w, mono)), {})[mono] = coeff
+        return {n: Poly._make(self.ctx, terms) for n, terms in parts.items()}
 
     def evaluate(self, point: Mapping[str, object]):
         """Exact evaluation at a point binding every occurring variable.
@@ -401,9 +406,13 @@ def invert_unit(f: Poly) -> Poly:
 
 
 def lift(f: Poly, target: Context) -> Poly:
-    """Re-key a polynomial into a context containing every occurring variable."""
+    """Re-key a polynomial into a context containing every occurring variable
+    and flagging Laurent every variable that occurs with a negative exponent."""
     if target == f.ctx:
         return f
+    for i in map(f.ctx.index, f.ctx.laurent - target.laurent):
+        if any(mono[i] < 0 for mono in f.terms):
+            raise ValueError(f"negative exponent on non-Laurent variable {f.ctx.variables[i]!r}")
     positions = {name: target.index(name) for name in f.variables_present()}
     width = len(target.variables)
     out: dict[tuple[int, ...], Fraction] = {}

@@ -19,17 +19,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .derivations import (ANY_DEGREE, Derivation, compose, conjugate, deck_sigma,
+from .derivations import (Derivation, RingEndomorphism, compose, conjugate, deck_sigma,
                           degree_ell, example_derivations, flow, identity_endomorphism,
                           induced_graded, invariance_check, is_homogeneous_derivation,
-                          kernel_chain, lnd_bounded, make_derivation, scaling, specialize)
+                          kernel_chain, lnd_bounded, scaling, specialize)
 from .parse import parse
 from .poly import Context, Poly, lift
 from .quotient import (CTX_XYZT, CTX_ZT, RING_A, RING_B, RING_NEIL, RING_V,
                        RingElement, oracle_equal, random_point)
 from .sampling import random_nonzero_element, random_poly, random_rational
 from .weights import (WEIGHTS, deg, deg_laurent_oracle, gr, homogeneous_components,
-                      is_homogeneous, monomial_weight, weight_components)
+                      is_homogeneous, monomial_weight)
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,10 @@ def check_trivialization() -> CheckResult:
         residues)
 
 
-def check_normalization(d: Derivation, check_id: str = "normalization") -> CheckResult:
-    """Flow versus scaling: compose(E_tau, S_lam) = compose(S_lam, E_(lam^-ell tau))."""
+def check_normalization(d: Derivation, E: RingEndomorphism, check_id: str) -> CheckResult:
+    """Flow versus scaling: compose(E_tau, S_lam) = compose(S_lam, E_(lam^-ell tau)),
+    where E = flow(d, "tau")."""
     ell = degree_ell(d)
-    E = flow(d, "tau")
     S = scaling(d.ring)
     ctx = d.ring.extend(("tau", "lam")).ctx
     rescaled = specialize(E, {"tau": ctx.var("lam", -ell) * ctx.var("tau")})
@@ -264,15 +264,16 @@ def check_lemma_dichotomy(d: Derivation, check_id: str = "lemma_dichotomy") -> C
         facts=facts)
 
 
-def check_theorem_examples() -> CheckResult:
-    """The bundled derivations and their flow conjugates all leave x alone."""
-    ex = example_derivations()
+def check_theorem_examples(ex: dict[str, Derivation],
+                           flows: dict[str, RingEndomorphism]) -> CheckResult:
+    """The bundled derivations and their flow conjugates all leave x alone;
+    flows[name] is flow(ex[name], "tau")."""
     facts = {}
     for name, d in ex.items():
         facts[f"{name} kills x"] = d.apply("x").is_zero
         facts[f"{name} is locally nilpotent"] = lnd_bounded(d).verdict == "LocallyNilpotent"
         facts[f"{name} has negative degree"] = degree_ell(d) < 0
-        E = flow(d, "tau")
+        E = flows[name]
         facts[f"flow of {name} fixes x"] = E.images["x"] == E.extended_ring.nf("x")
     for a, b in (("d1", "d2"), ("d2", "d1")):
         conj = conjugate(ex[a], flow(ex[b], "s"))
@@ -326,13 +327,13 @@ def check_isotropy_order_two() -> CheckResult:
         residues, facts)
 
 
-def check_flow_identities() -> CheckResult:
-    """E_0 = id and the one-parameter group law, for both examples on A and B."""
+def check_flow_identities(families: dict[str, Derivation],
+                          flows: dict[str, RingEndomorphism]) -> CheckResult:
+    """E_0 = id and the one-parameter group law, for both examples on A and B;
+    flows[name] is flow(families[name], "tau")."""
     facts = {}
-    ex = example_derivations()
-    families = list(ex.items()) + [(f"induced {k}", induced_graded(v)) for k, v in ex.items()]
-    for name, d in families:
-        E = flow(d, "tau")
+    for name, d in families.items():
+        E = flows[name]
         facts[f"{name}: E_0 is the identity"] = \
             specialize(E, {"tau": 0}) == identity_endomorphism(d.ring)
         ctx = d.ring.extend(("tau", "sigma")).ctx
@@ -549,7 +550,8 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     verdicts on correct code are seed-independent.
     """
     ex = example_derivations()
-    delta = {name: induced_graded(d) for name, d in ex.items()}
+    families = {**ex, **{f"induced {name}": induced_graded(d) for name, d in ex.items()}}
+    flows = {name: flow(d, "tau") for name, d in families.items()}
     results = [
         check_embedding(),
         check_embedding_negative_control(),
@@ -558,14 +560,14 @@ def run_all(seed: int = 0) -> list[CheckResult]:
         check_singular_locus_negative_control(),
         check_gm_action(),
         check_trivialization(),
-        check_normalization(delta["d1"], "normalization_d1"),
-        check_normalization(delta["d2"], "normalization_d2"),
-        check_lemma_dichotomy(delta["d1"], "lemma_dichotomy_d1"),
-        check_lemma_dichotomy(delta["d2"], "lemma_dichotomy_d2"),
-        check_theorem_examples(),
+        check_normalization(families["induced d1"], flows["induced d1"], "normalization_d1"),
+        check_normalization(families["induced d2"], flows["induced d2"], "normalization_d2"),
+        check_lemma_dichotomy(families["induced d1"], "lemma_dichotomy_d1"),
+        check_lemma_dichotomy(families["induced d2"], "lemma_dichotomy_d2"),
+        check_theorem_examples(ex, flows),
         check_limits_degree_signs(),
         check_isotropy_order_two(),
-        check_flow_identities(),
+        check_flow_identities(families, flows),
         _random_poly_ring_axioms(seed),
         _random_eval_homomorphism(seed),
         _random_substitution_composition(seed),

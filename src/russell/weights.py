@@ -35,17 +35,14 @@ def monomial_weight(ctx: Context, mono: tuple[int, ...]) -> int:
 
 def weight_components(f: Poly) -> dict[int, Poly]:
     """Split a polynomial into weight-homogeneous parts, keyed by weight."""
-    parts: dict[int, dict] = {}
-    for mono, coeff in f.terms.items():
-        parts.setdefault(monomial_weight(f.ctx, mono), {})[mono] = coeff
-    return {n: Poly._make(f.ctx, terms) for n, terms in parts.items()}
+    return f.graded(WEIGHTS)
 
 
 def deg(a: RingElement) -> int | None:
     """Filtration degree: maximal monomial weight of the normal form."""
     if a.poly.is_zero:
         return None
-    return max(monomial_weight(a.poly.ctx, mono) for mono in a.poly.terms)
+    return max(a.poly.graded(WEIGHTS))
 
 
 def deg_laurent_oracle(a: RingElement) -> int | None:
@@ -59,8 +56,7 @@ def deg_laurent_oracle(a: RingElement) -> int | None:
     if a.poly.is_zero:
         return None
     image = a.poly.substitute({"y": _Y_ELIMINATED}, target=LAURENT_MODEL_CTX)
-    x_at = LAURENT_MODEL_CTX.index("x")
-    return -min(mono[x_at] for mono in image.terms)
+    return max(image.graded({"x": -1}))
 
 
 def gr(a: RingElement) -> RingElement:
@@ -69,11 +65,9 @@ def gr(a: RingElement) -> RingElement:
         raise RingMismatchError("gr maps elements of ring A into ring B")
     if a.poly.is_zero:
         raise ValueError("gr of 0 is undefined")
-    top = deg(a)
-    terms = {m: c for m, c in a.poly.terms.items()
-             if monomial_weight(a.poly.ctx, m) == top}
+    parts = a.poly.graded(WEIGHTS)
     # normal monomials agree in A and B (same leading monomial x^2*y)
-    return RingElement(RING_B, Poly._make(RING_B.ctx, terms))
+    return RingElement(RING_B, parts[max(parts)])
 
 
 def homogeneous_components(b: RingElement) -> list[tuple[int, RingElement]]:
@@ -87,4 +81,4 @@ def homogeneous_components(b: RingElement) -> list[tuple[int, RingElement]]:
 def is_homogeneous(b: RingElement | Poly, n: int) -> bool:
     """Whether every monomial has weight n; 0 is homogeneous of every degree."""
     f = b.poly if isinstance(b, RingElement) else b
-    return all(monomial_weight(f.ctx, mono) == n for mono in f.terms)
+    return f.graded(WEIGHTS).keys() <= {n}

@@ -244,6 +244,29 @@ class TestEndomorphisms:
         with pytest.raises(ValueError):
             specialize(flow(D1, "tau"), {"sigma": 1})
 
+    @pytest.mark.parametrize("ring", [RING_B, RING_V], ids=["B", "V"])
+    def test_specialize_rejects_elements_of_other_rings(self, ring):
+        # x of B or V is not x of A: the relations differ
+        with pytest.raises(RingMismatchError):
+            specialize(flow(D1, "tau"), {"tau": ring.nf("x")})
+
+    def test_specialize_reads_elements_of_parameter_extensions(self):
+        E = flow(D1, "tau")
+        s = RING_A.extend(("s",))
+        at_s = specialize(E, {"tau": s.nf("x*s")})
+        assert at_s.params == ("s",)
+        assert at_s == specialize(E, {"tau": s.ctx.var("x") * s.ctx.var("s")})
+        assert specialize(E, {"tau": RING_A.nf("z")}) == specialize(E, {"tau": RING_A.ctx.var("z")})
+
+    def test_specialize_rejects_laurent_values_the_extension_cannot_hold(self):
+        # w is not a Laurent parameter, so A[w] cannot hold w^-1
+        ctx = RING_A.ctx.extend(("w",), laurent=("w",))
+        with pytest.raises(ValueError, match="negative exponent on non-Laurent variable 'w'"):
+            specialize(flow(D1, "tau"), {"tau": ctx.var("w", -1)})
+        ring = QuotientRing("A_w", ctx, lift(RING_A.relation, ctx), "grlex")
+        with pytest.raises(RingMismatchError):
+            specialize(flow(D1, "tau"), {"tau": ring.nf("w^-1")})
+
     def test_parameters_keep_registry_order(self):
         E = flow(delta(D1), "tau")
         S = scaling()
@@ -428,14 +451,28 @@ class TestSerialization:
 # -- an independent route: sympy differentiates and reduces ----------------------
 
 # d1, d2 and kernel multiples a(x, z)*d1 and a(x, t)*d2, which stay locally nilpotent
-SYMPY_CASES = (("d1", "1"), ("d2", "1"), ("d1", "1 + x*z"), ("d1", "x^2 - 1/2*z^2"),
-               ("d2", "3 + x*t"), ("d2", "x - 2/3*t^2"))
+MULTIPLES = (("d1", "1"), ("d2", "1"), ("d1", "1 + x*z"), ("d1", "x^2 - 1/2*z^2"),
+             ("d2", "3 + x*t"), ("d2", "x - 2/3*t^2"))
 
 
 def _multiple(base: str, text: str):
     a = RING_A.nf(text).poly
     images = example_derivations()[base].images
     return make_derivation(RING_A, {v: a * img.poly for v, img in images.items()})
+
+
+def _chain_lnd() -> Derivation:
+    """(x + x^2*z)*d1 conjugated by the flow of (1/2 + x)*d2 in s, then
+    s = 3/2: the generated LND of test_golden_outputs.py::_chain_text."""
+    C = conjugate(_multiple("d1", "x + x^2*z"), flow(_multiple("d2", "1/2 + x"), "s"))
+    at = {"s": RING_A.ctx.const(Fraction(3, 2))}
+    return make_derivation(RING_A, {v: C.images[v].poly.substitute(at, target=RING_A.ctx)
+                                    for v in RING_A.ctx.variables})
+
+
+# each case builds its derivation when its test runs
+SYMPY_CASES = [pytest.param(lambda b=b, m=m: _multiple(b, m), id=f"{b}-{m}") for b, m in MULTIPLES]
+SYMPY_CASES.append(pytest.param(_chain_lnd, id="generated chain"))
 
 
 @pytest.fixture(scope="module")
@@ -459,20 +496,20 @@ def sympy_route():
     return sympy, to_sympy, apply
 
 
-@pytest.mark.parametrize("base,multiplier", SYMPY_CASES)
-def test_apply_agrees_with_sympy(base, multiplier, sympy_route):
+@pytest.mark.parametrize("build", SYMPY_CASES)
+def test_apply_agrees_with_sympy(build, sympy_route):
     sympy, to_sympy, apply = sympy_route
-    d = _multiple(base, multiplier)
+    d = build()
     rng = random.Random(47)
     for _ in range(6):
         f = random_poly(RING_A.ctx, rng, max_terms=5, max_degree=4)
         assert sympy.expand(apply(d, to_sympy(f)) - to_sympy(d.apply(f).poly)) == 0
 
 
-@pytest.mark.parametrize("base,multiplier", SYMPY_CASES)
-def test_flow_agrees_with_truncated_exponential_in_sympy(base, multiplier, sympy_route):
+@pytest.mark.parametrize("build", SYMPY_CASES)
+def test_flow_agrees_with_truncated_exponential_in_sympy(build, sympy_route):
     sympy, to_sympy, apply = sympy_route
-    d = _multiple(base, multiplier)
+    d = build()
     tau = sympy.Symbol("tau")
     e = flow(d, "tau")
     assert e.extended_ring.ctx.variables == ("x", "y", "z", "t", "tau")

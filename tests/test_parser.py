@@ -75,6 +75,21 @@ def test_negative_exponent_rejected_without_laurent():
     assert "Laurent" in info.value.message
 
 
+@pytest.mark.parametrize("text,message,position", [
+    ("y^-1", "negative exponent on non-Laurent variable 'y'", 3),
+    ("(x)^-1", "negative exponent is only allowed on a Laurent variable", 5),
+    ("2^-1", "negative exponent is only allowed on a Laurent variable", 3),
+    ("(x+1)^-2", "negative exponent is only allowed on a Laurent variable", 7),
+    ("x^-", "expected an integer exponent", 3),
+])
+def test_negative_exponent_errors_name_the_base(text, message, position):
+    # x is Laurent in LCTX, but only a bare variable may carry a negative exponent
+    ctx = CTX_XYZT if text.startswith("y") else LCTX
+    with pytest.raises(ParseError) as info:
+        p(text, ctx)
+    assert (info.value.message, info.value.position) == (message, position)
+
+
 def test_no_implicit_multiplication():
     with pytest.raises(ParseError):
         p("2x")

@@ -6,6 +6,7 @@ import pytest
 from russell.poly import Context, Poly, dot, invert_unit, lift
 from russell.quotient import CTX_XYZT, RING_A
 from russell.sampling import random_poly, random_rational
+from russell.weights import WEIGHTS, monomial_weight
 
 XY = Context(("x", "y"))
 LX = Context(("x", "y"), laurent=frozenset({"x"}))
@@ -98,9 +99,11 @@ def test_partial():
     assert f.partial("t") == ctx.const(3)
 
 
-def test_partial_rejects_laurent_variable():
-    with pytest.raises(ValueError):
-        LX.var("x", -1).partial("x")
+def test_partial_of_laurent_variable():
+    # d/dx x^-2 = -2*x^-3, and d/dx x^-1*y = -x^-2*y
+    assert LX.var("x", -2).partial("x") == -2 * LX.var("x", -3)
+    assert (LX.var("x", -1) * LX.var("y")).partial("x") == -LX.var("x", -2) * LX.var("y")
+    assert (LX.var("x", -1) + 5).partial("y").is_zero
 
 
 def test_evaluate_exact():
@@ -124,6 +127,15 @@ def test_lift_requires_present_variables_only():
     assert lift(f, sub) == sub.var("x") ** 2
     with pytest.raises(ValueError):
         lift(XY.var("y"), sub)
+
+
+def test_lift_keeps_laurent_flags_of_negative_exponents():
+    assert lift(LX.var("x", -1), Context(("y", "x"), laurent=frozenset({"x"}))).terms == \
+        {(0, -1): Fraction(1)}
+    # a dropped flag is fine while the exponents stay >= 0
+    assert lift(LX.var("x", 2) * LX.var("y"), XY) == XY.var("x") ** 2 * XY.var("y")
+    with pytest.raises(ValueError, match="negative exponent on non-Laurent variable 'x'"):
+        lift(LX.var("x", 2) + LX.var("x", -1), XY)
 
 
 def test_hash_consistent_with_eq():
@@ -371,3 +383,57 @@ def test_substitute_error_for_unbound_variable_missing_from_target():
         CTX_XYZT.var("y").substitute({"x": xz.var("z")}, target=xz)
     assert type(err.value) is ValueError
     assert str(err.value) == "unknown variable 'y' in context ('x', 'z')"
+
+
+# -- the one formal derivative and the one weight grouping -----------------------
+
+def per_term_partial(f: Poly, name: str) -> Poly:
+    """Reference derivative: differentiate term by term and add up."""
+    i = f.ctx.index(name)
+    total = f.ctx.zero()
+    for mono, coeff in f.terms.items():
+        if mono[i]:
+            shifted = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            total = total + Poly(f.ctx, {shifted: coeff * mono[i]})
+    return total
+
+
+@pytest.mark.parametrize("ctx", [CTX_XYZT, A_TAU_LAM], ids=["xyzt", "A[tau,lam]"])
+def test_partial_matches_per_term_reference(ctx):
+    rng = random.Random(53)
+    negative_seen = False
+    for _ in range(40):
+        f = random_poly(ctx, rng, max_terms=8)
+        negative_seen |= any(e < 0 for m in f.terms for e in m)
+        for name in ctx.variables:
+            df = f.partial(name)
+            assert df == per_term_partial(f, name)
+            assert_clean(df)
+    assert negative_seen == bool(ctx.laurent)
+
+
+def test_partial_leibniz_on_laurent_variable():
+    rng = random.Random(59)
+    for _ in range(30):
+        f = random_poly(A_TAU_LAM, rng, max_terms=5)
+        g = random_poly(A_TAU_LAM, rng, max_terms=5)
+        assert (f * g).partial("lam") == f.partial("lam") * g + f * g.partial("lam")
+
+
+@pytest.mark.parametrize("weights", [WEIGHTS, {"x": -1}, {"y": 3, "lam": -2}, {}],
+                         ids=["WEIGHTS", "x only", "y and lam", "empty"])
+@pytest.mark.parametrize("ctx", [CTX_XYZT, A_TAU_LAM], ids=["xyzt", "A[tau,lam]"])
+def test_graded_matches_weight_loop(ctx, weights):
+    rng = random.Random(61)
+    for _ in range(40):
+        f = random_poly(ctx, rng, max_terms=8)
+        expected: dict[int, dict] = {}
+        for mono, coeff in f.terms.items():
+            n = sum(weights.get(name, 0) * e for name, e in zip(ctx.variables, mono))
+            if weights is WEIGHTS:
+                assert n == monomial_weight(ctx, mono)
+            expected.setdefault(n, {})[mono] = coeff
+        parts = f.graded(weights)
+        assert parts == {n: Poly(ctx, terms) for n, terms in expected.items()}
+        assert all(part.ctx == ctx and not part.is_zero for part in parts.values())
+    assert CTX_XYZT.zero().graded(WEIGHTS) == {}
