@@ -14,6 +14,7 @@ locus not invariant, verification failures), 2 for unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,8 +60,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_nf(args) -> int:
     ring = ring_by_name(args.ring)
-    value = ring.nf(_read_expr(args))
-    _emit(args, {"ring": ring.name, "normal_form": str(value)}, str(value))
+    text = str(ring.nf(_read_expr(args)))
+    _emit(args, {"ring": ring.name, "normal_form": text}, text)
     return 0
 
 
@@ -73,15 +74,15 @@ def cmd_deg(args) -> int:
 
 def cmd_gr(args) -> int:
     value = gr(ring_by_name("A").nf(_read_expr(args)))
-    n = deg(value)
-    _emit(args, {"gr": str(value), "deg": n}, str(value))
+    text = str(value)
+    _emit(args, {"gr": text, "deg": deg(value)}, text)
     return 0
 
 
 def cmd_parse_check(args) -> int:
     ring = ring_by_name(args.ring)
-    poly = parse(_read_expr(args), ring.ctx)
-    _emit(args, {"ring": ring.name, "canonical": str(poly)}, str(poly))
+    text = str(parse(_read_expr(args), ring.ctx))
+    _emit(args, {"ring": ring.name, "canonical": text}, text)
     return 0
 
 
@@ -142,8 +143,9 @@ def cmd_kernel_chain(args) -> int:
     start = d.ring.nf(_read_expr(args))
     nu, bottom = kernel_chain(d, start, bound=args.bound)
     n = deg(bottom)
-    _emit(args, {"steps": nu, "element": str(bottom), "deg": n},
-          f"steps {nu}, element {bottom}, deg {'-inf' if n is None else n}")
+    text = str(bottom)
+    _emit(args, {"steps": nu, "element": text, "deg": n},
+          f"steps {nu}, element {text}, deg {'-inf' if n is None else n}")
     return 0
 
 
@@ -222,10 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -96,19 +96,20 @@ class _Parser:
         return kind == "op" and value in ops
 
     def parse_expr(self) -> Poly:
-        # one running sum, updated in place: a new Poly per "+" would copy
-        # every term so far, and parsing would be quadratic in the term count
-        total = dict(self.parse_term().terms)
-        while self.at_op("+", "-"):
-            _, op, _ = self.advance()
-            sign = 1 if op == "+" else -1
-            for mono, coeff in self.parse_term().terms.items():
-                s = total.get(mono, 0) + sign * coeff
-                if s:
-                    total[mono] = s
-                else:
-                    del total[mono]
-        return Poly._make(self.ctx, total)
+        # one running sum of int numerators, one bucket per denominator,
+        # updated in place: a new Poly per "+" would copy every term so far,
+        # and rescaling the sum to each new denominator would rescale every
+        # term so far; either way parsing would be quadratic in the term count
+        buckets: dict[int, dict[tuple[int, ...], int]] = {}
+        sign = 1
+        while True:
+            term = self.parse_term()
+            bucket = buckets.setdefault(term.den, {})
+            for mono, c in term.nums.items():
+                bucket[mono] = bucket.get(mono, 0) + sign * c
+            if not self.at_op("+", "-"):
+                return Poly._from_buckets(self.ctx, buckets)
+            sign = 1 if self.advance()[1] == "+" else -1
 
     def parse_term(self) -> Poly:
         node = self.parse_factor()

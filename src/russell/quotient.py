@@ -18,7 +18,10 @@ checks exercise it throughout the test suite.
 The default strategy "max" rewrites the order-largest reducible monomial
 first, in the manner of heap-based division (Monagan and Pearce, CASC 2007):
 the reducible monomials still pending sit in a heap keyed by the order, and
-each rewrite adds coeff * tail(R) into one accumulator in place.  Since
+each rewrite adds coeff * tail(R) into one accumulator of int numerators over
+the input's denominator, in place.  When lc(R) does not divide the other
+coefficients of R (it does for lc(R) = +-1) the same loop runs with Fraction
+tail coefficients, and the result goes back to ints once.  Since
 every rewrite only creates order-smaller monomials, all contributions to a
 monomial have arrived by the time it leaves the heap, so each distinct
 reducible monomial is rewritten exactly once.  Strategy "first" keeps the
@@ -44,7 +47,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import add, neg, sub
 from typing import Mapping
 
@@ -93,13 +96,14 @@ class QuotientRing:
         self.relation = relation
         self.order = order
         self._key = _descending_key(order)
-        self.lead_monomial = min(relation.terms, key=self._key)
-        self.lead_coeff = relation.terms[self.lead_monomial]
-        self._lead_positions = tuple(
-            (i, e) for i, e in enumerate(self.lead_monomial) if e > 0
-        )
-        self._tail = tuple((m, -c / self.lead_coeff)
-                           for m, c in relation.terms.items() if m != self.lead_monomial)
+        self.lead_monomial = lead = min(relation.nums, key=self._key)
+        self.lead_coeff = Fraction(relation.nums[lead], relation.den)
+        self._lead_positions = tuple((i, e) for i, e in enumerate(lead) if e > 0)
+        # -tail(R)/lc(R): ints when lc(R) divides every numerator of R, as it
+        # does for lc(R) = +-1, Fractions otherwise
+        tail = ((m, Fraction(-c, relation.nums[lead]))
+                for m, c in relation.nums.items() if m != lead)
+        self._tail = tuple((m, q.numerator if q.denominator == 1 else q) for m, q in tail)
 
     def __eq__(self, other):
         if not isinstance(other, QuotientRing):
@@ -116,7 +120,10 @@ class QuotientRing:
     # -- reduction -----------------------------------------------------------
 
     def _divisible(self, mono: tuple[int, ...]) -> bool:
-        return all(mono[i] >= e for i, e in self._lead_positions)
+        for i, e in self._lead_positions:  # runs per term and per rewrite: no generator
+            if mono[i] < e:
+                return False
+        return True
 
     def reduce(self, f: Poly, strategy: str = "max") -> Poly:
         """Iterated rewriting to the unique normal form.
@@ -135,12 +142,12 @@ class QuotientRing:
         if strategy != "max":
             raise ValueError(f"unknown reduction strategy {strategy!r}")
         divisible, key = self._divisible, self._key
-        heap = [(key(m), m) for m in f.terms if divisible(m)]
+        heap = [(key(m), m) for m in f.nums if divisible(m)]
         if not heap:
             return f
         heapq.heapify(heap)
         lead, tail = self.lead_monomial, self._tail
-        acc = dict(f.terms)
+        acc = dict(f.nums)  # numerators over f.den
         while heap:
             mono = heapq.heappop(heap)[1]
             coeff = acc.pop(mono, None)
@@ -160,17 +167,25 @@ class QuotientRing:
                         acc[m] = s
                     else:
                         del acc[m]
-        return Poly._make(self.ctx, acc)
+        den = f.den
+        if any(type(c) is not int for _, c in tail):
+            # Fraction tail coefficients: back to int numerators in one pass
+            scale = lcm(*(c.denominator for c in acc.values()))
+            acc = {m: c.numerator * (scale // c.denominator) for m, c in acc.items()}
+            den *= scale
+        return Poly._make(self.ctx, acc, den)
 
     def _reduce_first(self, f: Poly) -> Poly:
+        """The reference route, written on the public Poly API only."""
         lead = self.lead_monomial
         while True:
-            reducible = [m for m in f.terms if self._divisible(m)]
+            terms = f.terms
+            reducible = [m for m in terms if self._divisible(m)]
             if not reducible:
                 return f
             mono = max(reducible)
             quotient = tuple(a - b for a, b in zip(mono, lead))
-            factor = Poly._make(self.ctx, {quotient: f.terms[mono] / self.lead_coeff})
+            factor = Poly(self.ctx, {quotient: terms[mono] / self.lead_coeff})
             f = f - factor * self.relation
 
     def nf(self, value) -> "RingElement":
@@ -373,13 +388,14 @@ def _residue(q: Fraction) -> int:
 
 def _evaluate_mod(poly: Poly, point: Mapping[str, Fraction]) -> int:
     """Value of a polynomial at a point with every coordinate bound, in
-    Z/pZ for p = ORACLE_PRIME, as an int in [0, p).  Coefficients and
-    coordinates become int residues once; a denominator divisible by p
-    raises ZeroDivisionError."""
+    Z/pZ for p = ORACLE_PRIME, as an int in [0, p).  The coordinates and
+    the inverse of the polynomial's one denominator become int residues
+    once; a denominator divisible by p raises ZeroDivisionError."""
     p = ORACLE_PRIME
     values = [_residue(point[name]) for name in poly.ctx.variables]
-    return sum(_residue(coeff) * prod(pow(v, e, p) for v, e in zip(values, mono))
-               for mono, coeff in poly.terms.items()) % p
+    return _residue(Fraction(1, poly.den)) * sum(
+        c * prod(pow(v, e, p) for v, e in zip(values, mono))
+        for mono, c in poly.nums.items()) % p
 
 
 def oracle_equal(a: RingElement, b: RingElement, samples: int = 50, seed: int = 0,

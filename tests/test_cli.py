@@ -213,6 +213,23 @@ def test_verify_paper_has_no_samples_flag(capsys):
     assert "--samples" in err
 
 
+def test_repeated_main_calls_match_fresh_processes(capsys, d1_file):
+    """main reuses one parser: each call in a long-lived process gives the
+    exit code and stdout that a fresh process gives for the same argv."""
+    calls = [["nf", "--ring", "A", "--expr", "x^2*y + 1/3*t", "--json"],
+             ["nf", "--ring", "Q", "--expr", "x"],  # argparse error
+             ["nf", "--ring", "A", "--expr", "x ^"],  # ParseError
+             ["lnd", "--file", d1_file, "--json"]]
+    in_process = [run(capsys, *argv)[:2] for argv in calls + calls]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "russell", *argv],
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in fresh] == [0, 2, 2, 0]
+    assert in_process == fresh + fresh
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "russell", "nf", "--ring", "A", "--expr", "x^2*y"],

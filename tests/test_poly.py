@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from russell.parse import parse
 from russell.poly import Context, Poly, dot, invert_unit, lift
-from russell.quotient import CTX_XYZT, RING_A
+from russell.quotient import CTX_XYZT, RING_A, QuotientRing
 from russell.sampling import random_poly, random_rational
 from russell.weights import WEIGHTS, monomial_weight
 
@@ -55,6 +58,12 @@ def test_invert_unit():
     assert invert_unit(f) * f == 1
     with pytest.raises(ValueError):
         invert_unit(LX.var("x") + 1)
+
+
+def test_invert_unit_of_negative_coefficient():
+    inv = invert_unit(LX.monomial(Fraction(-2, 3), x=-2))
+    assert inv.terms == {(2, 0): Fraction(-3, 2)}
+    assert_normal(inv)
 
 
 def test_canonical_str_golden():
@@ -437,3 +446,182 @@ def test_graded_matches_weight_loop(ctx, weights):
         assert parts == {n: Poly(ctx, terms) for n, terms in expected.items()}
         assert all(part.ctx == ctx and not part.is_zero for part in parts.values())
     assert CTX_XYZT.zero().graded(WEIGHTS) == {}
+
+
+# -- the int-numerator representation against a Fraction-dict reference ---------
+
+U_RING = QuotientRing("U", CTX_XYZT, parse("3/2*x^2*y + z - 1/2", CTX_XYZT), "grlex")
+A_TAU_LAM_RING = RING_A.extend(("tau", "lam"))
+RINGS_OVER = {CTX_XYZT: (RING_A, U_RING), A_TAU_LAM: (A_TAU_LAM_RING,)}
+
+
+def assert_normal(p: Poly) -> None:
+    """One positive int denominator sharing no factor with the nonzero int
+    numerators; zero is den 1 with no numerators."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert type(p.terms) is dict
+
+
+def ref_clean(f: dict) -> dict:
+    return {m: c for m, c in f.items() if c}
+
+
+def ref_add(f: dict, g: dict, sign: int = 1) -> dict:
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_power(f: dict, e: int, width: int) -> dict:
+    if e < 0:  # a unit monomial
+        ((m, c),) = f.items()
+        f, e = {tuple(-a for a in m): 1 / c}, -e
+    out = {(0,) * width: Fraction(1)}
+    for _ in range(e):
+        out = ref_mul(out, f)
+    return out
+
+
+def ref_substitute(f: dict, variables, bindings: dict, target: Context) -> dict:
+    width = len(target.variables)
+    out: dict = {}
+    for mono, c in f.items():
+        term = {(0,) * width: c}
+        for name, e in zip(variables, mono):
+            if e:
+                img = bindings.get(name)
+                if img is None:
+                    img = {tuple(int(v == name) for v in target.variables): Fraction(1)}
+                term = ref_mul(term, ref_power(img, e, width))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_reduce(f: dict, relation: dict, lead: tuple) -> dict:
+    """Rewrite lead -> lead - relation/lc(relation), in sweeps, until no
+    monomial is divisible by lead."""
+    lc = relation[lead]
+    out = dict(f)
+    while True:
+        reducible = [m for m in out if all(a >= b for a, b in zip(m, lead) if b)]
+        if not reducible:
+            return out
+        for m in reducible:
+            c = out.pop(m, 0)
+            for r, rc in relation.items():
+                if c and r != lead:
+                    n = tuple(a - b + d for a, b, d in zip(m, lead, r))
+                    out[n] = out.get(n, 0) - c * rc / lc
+        out = ref_clean(out)
+
+
+def ref_text(f: dict, variables) -> str:
+    parts = []
+    for mono in sorted(f, reverse=True):
+        factors = [str(f[mono])] + [v if e == 1 else f"{v}^{e}"
+                                     for v, e in zip(variables, mono) if e]
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
+
+
+DENOMINATORS = st.sampled_from((1, 1, 1, 2, 3, 4, 6, 7, 9, 12, 97, 1024))
+
+
+def monomials(ctx: Context):
+    return st.tuples(*(st.integers(-2, 3) if v in ctx.laurent else st.integers(0, 3)
+                       for v in ctx.variables))
+
+
+def fraction_dicts(ctx: Context, max_size: int = 5):
+    return st.dictionaries(monomials(ctx),
+                           st.builds(Fraction, st.integers(-40, 40), DENOMINATORS),
+                           max_size=max_size)
+
+
+def nonzero_fractions():
+    return st.builds(Fraction, st.integers(1, 30) | st.integers(-30, -1), DENOMINATORS)
+
+
+@pytest.mark.parametrize("ctx", [CTX_XYZT, A_TAU_LAM], ids=["xyzt", "A[tau,lam]"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_int_numerators_match_fraction_reference(ctx, data):
+    names = ctx.variables
+    f, g, h = (data.draw(fraction_dicts(ctx)) for _ in range(3))
+    F, G, H = (Poly(ctx, d) for d in (f, g, h))
+    f, g, h = ref_clean(f), ref_clean(g), ref_clean(h)
+    results = [F, G, H]
+
+    def check(got: Poly, want: dict) -> None:
+        results.append(got)
+        assert got.terms == want
+
+    check(F, f)
+    check(F + G, ref_add(f, g))
+    check(F - G, ref_add(f, g, -1))
+    check(-F, ref_add({}, f, -1))
+    check(dot(ctx, [(F, G), (H, F)]), ref_add(ref_mul(f, g), ref_mul(h, f)))
+    for i, name in enumerate(names):
+        check(F.partial(name), ref_clean({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                                          for m, c in f.items()}))
+    for weights in (WEIGHTS, {"x": -1, "lam": 2}):
+        parts = F.graded(weights)
+        for n, part in parts.items():
+            check(part, {m: c for m, c in f.items()
+                         if sum(weights.get(v, 0) * e for v, e in zip(names, m)) == n})
+        assert sum(len(part.terms) for part in parts.values()) == len(f)
+
+    # x to a multi-term image, y to a one-term one, lam to a unit; the rest unbound
+    bindings = {"x": data.draw(fraction_dicts(ctx, max_size=3)),
+                "y": {data.draw(monomials(ctx)): data.draw(nonzero_fractions())}}
+    if "lam" in names:
+        bindings["lam"] = {tuple(data.draw(st.integers(-2, 2)) if v == "lam" else 0
+                                 for v in names): data.draw(nonzero_fractions())}
+    images = {name: Poly(ctx, img) for name, img in bindings.items()}
+    check(F.substitute(images, target=ctx),
+          ref_substitute(f, names, {k: ref_clean(v) for k, v in bindings.items()}, ctx))
+
+    wide = Context(tuple(reversed(names)) + ("w",), laurent=ctx.laurent)
+    lifted = lift(F, wide)
+    check(lifted, {tuple(m[names.index(v)] if v in names else 0 for v in wide.variables): c
+                   for m, c in f.items()})
+    assert lift(lifted, ctx) == F
+
+    product = F * G
+    for ring in RINGS_OVER[ctx]:
+        want = ref_reduce(ref_mul(f, g), ring.relation.terms, ring.lead_monomial)
+        for strategy in ("max", "first"):
+            check(ring.reduce(product, strategy), want)
+
+    point = {v: data.draw(nonzero_fractions() if v in ctx.laurent
+                          else st.builds(Fraction, st.integers(-9, 9), DENOMINATORS))
+             for v in names}
+    value = F.evaluate(point)
+    assert type(value) is Fraction
+    assert value == sum((c * prod(point[v] ** e for v, e in zip(names, m))
+                         for m, c in f.items()), Fraction(0))
+
+    text = str(F)
+    assert text == ref_text(f, names)
+    # one value by many routes: equal, and equal hashes
+    routes = [parse(text, ctx), Poly(ctx, F.terms), (F + G) - G, -(-F), F * 1,
+              dot(ctx, [(F, ctx.one()), (G, ctx.zero())]), lift(lifted, ctx),
+              sum(F.graded(WEIGHTS).values(), ctx.zero())]
+    results += routes
+    for other in routes:
+        assert other == F and hash(other) == hash(F)
+    assert 2 * F == F + F and hash(2 * F) == hash(F + F)
+    for p in results:
+        assert_normal(p)

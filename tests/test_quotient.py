@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from russell.derivations import example_derivations, flow
+from russell.parse import parse
 from russell.poly import Context, lift
 from russell.quotient import (CTX_XYZT, ORACLE_PRIME, RING_A, RING_B, RING_NEIL, RING_V,
                               QuotientRing, RingElement, RingMismatchError, _evaluate_mod,
@@ -263,3 +265,71 @@ def test_oracle_modp_rejects_coefficient_with_denominator_p(other):
 def test_oracle_equal_rejects_mixed_rings():
     with pytest.raises(RingMismatchError):
         oracle_equal(RING_A.nf("x"), RING_B.nf("x"))
+
+
+# -- hostile denominators --------------------------------------------------------
+
+def _first_primes(n: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def fraction_nf_a(terms: dict) -> dict:
+    """Reference normal form in A on a dict of Fractions: rewrite every
+    reducible x^a*y^b as x^(a-2)*y^(b-1) * (-x - z^3 - t^2), in sweeps, until
+    none is left.  The normal form does not depend on the order of rewrites."""
+    out = dict(terms)
+    while True:
+        reducible = [m for m in out if m[0] >= 2 and m[1] >= 1]
+        if not reducible:
+            return out
+        for m in reducible:
+            c = out.pop(m, 0)
+            if not c:
+                continue
+            a, b, z, t = m[0] - 2, m[1] - 1, m[2], m[3]
+            for n in ((a + 1, b, z, t), (a, b, z + 3, t), (a, b, z, t + 2)):
+                s = out.get(n, 0) - c
+                if s:
+                    out[n] = s
+                else:
+                    out.pop(n, None)
+
+
+def fraction_text(terms: dict, variables) -> str:
+    """Reference canonical text of a dict of Fractions."""
+    parts = []
+    for mono in sorted(terms, reverse=True):
+        factors = [str(terms[mono])]
+        factors += [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, mono) if e]
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
+
+
+def test_hostile_denominators_stay_bounded():
+    """1,000 terms over the first 1,000 primes: with one common denominator
+    every numerator grows to the size of their product, and parsing must not
+    rescale the running sum once per term."""
+    rng = random.Random(71)
+    monos = rng.sample([(a, b, c, d) for a in range(6) for b in range(6)
+                        for c in range(6) for d in range(6)], 1000)
+    terms = {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), p)
+             for m, p in zip(monos, _first_primes(1000))}
+    text = " + ".join(fraction_text({m: c}, CTX_XYZT.variables) for m, c in terms.items())
+    start = time.perf_counter()
+    f = parse(text, CTX_XYZT)
+    parsed = time.perf_counter()
+    a = RING_A.nf(f)
+    reduced = time.perf_counter()
+    out = str(a)
+    end = time.perf_counter()
+    assert end - start < 2.0, (parsed - start, reduced - parsed, end - reduced)
+    assert f.terms == terms
+    nf = fraction_nf_a(terms)
+    assert a.poly.terms == nf
+    assert out == fraction_text(nf, CTX_XYZT.variables)
